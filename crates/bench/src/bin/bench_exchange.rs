@@ -13,7 +13,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use copack_core::{
-    dfa, exchange, exchange_reference, exchange_traced, ExchangeConfig, ExchangeResult, Schedule,
+    dfa, exchange, exchange_reference, exchange_traced, CancelToken, ExchangeConfig,
+    ExchangeResult, Schedule,
 };
 use copack_gen::{circuits, large_circuit};
 use copack_geom::{Assignment, Quadrant, StackConfig};
@@ -233,8 +234,15 @@ fn bench_telemetry(config: &ExchangeConfig, runs: usize) -> String {
 
         let mut sink = JsonlSink::create(&trace_path).expect("temp trace file");
         let start = Instant::now();
-        let result =
-            exchange_traced(&quadrant, &initial, &stack, config, &mut sink).expect("kernel runs");
+        let result = exchange_traced(
+            &quadrant,
+            &initial,
+            &stack,
+            config,
+            &mut sink,
+            &CancelToken::new(),
+        )
+        .expect("kernel runs");
         let anneal = start.elapsed().as_secs_f64();
         let start = Instant::now();
         sink.finish().expect("trace flush");
@@ -268,8 +276,15 @@ fn bench_telemetry(config: &ExchangeConfig, runs: usize) -> String {
     // Exact replay: capture the same run in memory and fold the accepted
     // moves back to the final cost.
     let mut buffer = TraceBuffer::new();
-    let result =
-        exchange_traced(&quadrant, &initial, &stack, config, &mut buffer).expect("kernel runs");
+    let result = exchange_traced(
+        &quadrant,
+        &initial,
+        &stack,
+        config,
+        &mut buffer,
+        &CancelToken::new(),
+    )
+    .expect("kernel runs");
     let events = buffer.into_events();
     let replayed = split_runs(&events)
         .first()

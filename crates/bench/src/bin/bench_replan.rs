@@ -19,7 +19,12 @@
 //! on the warm path, not a scoreboard.
 //!
 //! The runs are strictly serial — concurrent timing on a shared
-//! machine would corrupt the numbers. Results go to `BENCH_replan.json`.
+//! machine would corrupt the numbers. Cold and warm replans are timed
+//! as interleaved pairs, alternating which side runs first, so a slow
+//! phase of the machine lands on both sides of a pair instead of on
+//! one side of the comparison. The gate reads the median of the
+//! per-pair speedups; their quartiles and extremes go to
+//! `BENCH_replan.json` as the spread.
 //!
 //! Run with `cargo run --release -p copack-bench --bin bench_replan`.
 
@@ -32,21 +37,11 @@ use copack_core::{
 use copack_gen::{churn, large_circuit, STANDARD_CHURN};
 use copack_obs::NoopRecorder;
 
-/// Times `f` with one warm-up invocation then `runs` individually
-/// timed ones, returning (minimum seconds, last value). The minimum —
-/// not the average — is the estimator: a scheduler stall can only
-/// inflate a sample, never deflate it, so the fastest run is the
-/// closest to the code's true cost and the gate cannot be swung by a
-/// single noisy sample on a shared machine.
-fn timed<T>(runs: usize, f: impl Fn() -> T) -> (f64, T) {
-    let mut value = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let start = Instant::now();
-        value = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, value)
+/// Runs `f` once and returns (seconds, value).
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let value = f();
+    (start.elapsed().as_secs_f64(), value)
 }
 
 fn main() {
@@ -68,7 +63,9 @@ fn main() {
     const QUADRANTS: f64 = 4.0;
     const CHURN_SEED: u64 = 9;
     const MIN_SPEEDUP: f64 = 5.0;
-    let runs = 5;
+    // Timed pairs after one untimed warm-up pair; odd, so the median
+    // is a measured pair.
+    const PAIRS: usize = 21;
 
     let mut entries: Vec<String> = Vec::new();
     for size in ["1k", "4k"] {
@@ -77,13 +74,11 @@ fn main() {
         let quadrant = spec.build_quadrant().expect("instance builds");
 
         // The original submission: one cold anneal per quadrant. All
-        // four quadrants are identical, so one run times them all —
-        // and its winner is the `prev` plan the replan warm-starts
+        // four quadrants are identical, so one run stands for them all
+        // — and its winner is the `prev` plan the replan warm-starts
         // from.
         let initial = dfa(&quadrant, 1).expect("dfa");
-        let (clean_seconds, previous) = timed(runs, || {
-            exchange(&quadrant, &initial, &stack, &config).expect("cold anneal runs")
-        });
+        let previous = exchange(&quadrant, &initial, &stack, &config).expect("cold anneal runs");
 
         // The ECO batch dirties exactly one quadrant under the standard
         // churn, and resubmits a second with a delta whose edits cancel
@@ -91,61 +86,85 @@ fn main() {
         let edited = churn(&quadrant, CHURN_SEED, STANDARD_CHURN).expect("churn applies");
         let noop = cancelling_delta(&quadrant, &edited);
         assert!(!noop.is_empty(), "the no-op delta must carry real edits");
+        let dirty_initial = dfa(&edited, 1).expect("dfa on the edited instance");
 
         // Cold replan: every quadrant re-anneals from scratch — the
         // edited one plus the three untouched ones.
-        let dirty_initial = dfa(&edited, 1).expect("dfa on the edited instance");
-        let (dirty_seconds, scratch) = timed(runs, || {
-            exchange(&edited, &dirty_initial, &stack, &config).expect("cold dirty anneal runs")
-        });
-        let cold_seconds = dirty_seconds + (QUADRANTS - 1.0) * clean_seconds;
-
+        let cold = || {
+            let (clean_seconds, _) =
+                timed(|| exchange(&quadrant, &initial, &stack, &config).expect("cold anneal runs"));
+            let (dirty_seconds, scratch) = timed(|| {
+                exchange(&edited, &dirty_initial, &stack, &config).expect("cold dirty anneal runs")
+            });
+            (dirty_seconds + (QUADRANTS - 1.0) * clean_seconds, scratch)
+        };
         // Incremental replan: the untouched quadrants answer from the
         // cache (zero annealer work), the no-op resubmission is
         // dismissed by one equivalence check, and only the dirty one
         // warm-starts.
-        let (noop_seconds, noop_detected) = timed(runs, || {
-            noop.is_noop_for(&quadrant).expect("no-op check runs")
-        });
-        assert!(noop_detected, "the cancelling delta must read as a no-op");
-        let (anneal_seconds, warm) = timed(runs, || {
-            exchange_warm(
-                &edited,
-                &previous.assignment,
-                &stack,
-                &config,
-                &mut NoopRecorder,
-                &CancelToken::new(),
-            )
-            .expect("warm replan runs")
-        });
-        let warm_seconds = anneal_seconds + noop_seconds;
+        let warm = || {
+            let (noop_seconds, noop_detected) =
+                timed(|| noop.is_noop_for(&quadrant).expect("no-op check runs"));
+            assert!(noop_detected, "the cancelling delta must read as a no-op");
+            let (anneal_seconds, result) = timed(|| {
+                exchange_warm(
+                    &edited,
+                    &previous.assignment,
+                    &stack,
+                    &config,
+                    &mut NoopRecorder,
+                    &CancelToken::new(),
+                )
+                .expect("warm replan runs")
+            });
+            (anneal_seconds + noop_seconds, noop_seconds, result)
+        };
 
-        // The warm path is seeded and repair is pure: a second run must
-        // reproduce the first bit for bit.
-        let again = exchange_warm(
-            &edited,
-            &previous.assignment,
-            &stack,
-            &config,
-            &mut NoopRecorder,
-            &CancelToken::new(),
-        )
-        .expect("warm replan reruns");
-        assert_eq!(warm, again, "{size}: warm replan is not deterministic");
-
-        let speedup = cold_seconds / warm_seconds.max(1e-12);
-        let cost_ratio = warm.stats.final_cost / scratch.stats.final_cost.max(1e-12);
+        let (_, scratch) = cold();
+        let (_, _, first) = warm();
+        let mut speedups = Vec::with_capacity(PAIRS);
+        let (mut colds, mut warms, mut noops) = (Vec::new(), Vec::new(), Vec::new());
+        for pair in 0..PAIRS {
+            let ((cold_seconds, _), (warm_seconds, noop_seconds, result)) = if pair % 2 == 0 {
+                let c = cold();
+                (c, warm())
+            } else {
+                let w = warm();
+                (cold(), w)
+            };
+            // The warm path is seeded and repair is pure: every run
+            // must reproduce the first bit for bit.
+            assert_eq!(result, first, "{size}: warm replan is not deterministic");
+            speedups.push(cold_seconds / warm_seconds.max(1e-12));
+            colds.push(cold_seconds);
+            warms.push(warm_seconds);
+            noops.push(noop_seconds);
+        }
+        for xs in [&mut speedups, &mut colds, &mut warms, &mut noops] {
+            xs.sort_by(f64::total_cmp);
+        }
+        // Nearest-rank quartiles of the sorted samples.
+        let (q1, speedup, q3) = (
+            speedups[PAIRS / 4],
+            speedups[PAIRS / 2],
+            speedups[3 * PAIRS / 4],
+        );
+        let (lo, hi) = (speedups[0], speedups[PAIRS - 1]);
+        let cold_seconds = colds[PAIRS / 2];
+        let warm_seconds = warms[PAIRS / 2];
+        let noop_seconds = noops[PAIRS / 2];
+        let cost_ratio = first.stats.final_cost / scratch.stats.final_cost.max(1e-12);
         println!(
             "large-{size} ({} nets/quadrant): cold {cold_seconds:.3} s, replan \
-             {warm_seconds:.3} s ({speedup:.1}x, no-op check {noop_seconds:.6} s), \
+             {warm_seconds:.3} s ({speedup:.2}x median of {PAIRS} pairs, quartiles \
+             {q1:.2}-{q3:.2}x, range {lo:.2}-{hi:.2}x, no-op check {noop_seconds:.6} s), \
              warm/scratch cost {cost_ratio:.3}",
             quadrant.net_count()
         );
         assert!(
             speedup >= MIN_SPEEDUP,
-            "large-{size}: replan speedup {speedup:.2}x fell below the {MIN_SPEEDUP}x gate \
-             (cold {cold_seconds:.3} s over {QUADRANTS} quadrants, warm {warm_seconds:.3} s)"
+            "large-{size}: median replan speedup {speedup:.2}x fell below the {MIN_SPEEDUP}x \
+             gate (cold {cold_seconds:.3} s over {QUADRANTS} quadrants, warm {warm_seconds:.3} s)"
         );
 
         let mut entry = String::new();
@@ -155,7 +174,9 @@ fn main() {
              \"churn\": {STANDARD_CHURN}, \
              \"cold_seconds\": {cold_seconds:.6}, \"warm_seconds\": {warm_seconds:.6}, \
              \"noop_check_seconds\": {noop_seconds:.6}, \
-             \"speedup\": {speedup:.2}, \"cost_ratio\": {cost_ratio:.4}, \
+             \"pairs\": {PAIRS}, \"speedup\": {speedup:.2}, \"speedup_q1\": {q1:.2}, \
+             \"speedup_q3\": {q3:.2}, \"speedup_min\": {lo:.2}, \"speedup_max\": {hi:.2}, \
+             \"cost_ratio\": {cost_ratio:.4}, \
              \"deterministic\": true}}",
             spec.name,
             quadrant.net_count()

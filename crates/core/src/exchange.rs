@@ -19,8 +19,8 @@
 //!   measure the kernel against it.
 //!
 //! With [`IrObjective::FullSolve`] the kernel additionally warm-starts
-//! each grid solve from the last *accepted* solution
-//! ([`copack_power::solve_sor_warm`]); the solve converges to the same
+//! each grid solve from the last *accepted* solution (the `guess` of
+//! [`copack_power::solve_sor_nodes`]); the solve converges to the same
 //! tolerance but not bit-for-bit, so equivalence guarantees are restricted
 //! to the `Proxy` objective.
 
@@ -133,7 +133,12 @@ impl IrEval {
                     return Ok(0.0);
                 }
                 let ring = PadRing::from_ts(ts)?;
-                let map = copack_power::solve_sor_warm(grid, &ring, warm.as_deref())?;
+                let map = copack_power::solve_sor_nodes(
+                    grid,
+                    &ring.clamp_nodes(grid),
+                    warm.as_deref(),
+                    &mut NoopRecorder,
+                )?;
                 let drop = map.max_drop();
                 *pending = Some(map.voltages().to_vec());
                 Ok(lambda * drop)
@@ -204,54 +209,39 @@ pub fn exchange(
     stack: &StackConfig,
     config: &ExchangeConfig,
 ) -> Result<ExchangeResult, CoreError> {
-    exchange_traced(quadrant, initial, stack, config, &mut NoopRecorder)
-}
-
-/// [`exchange`] with telemetry: emits `RunStart`, per-move
-/// `MoveAccepted`/`MoveRejected`, per-step `TempStep` and a final
-/// `RunEnd` into `recorder`.
-///
-/// The recorder's [`Recorder::enabled`]/[`Recorder::wants_rejected`]
-/// flags are cached once at startup; with a disabled recorder the run is
-/// bit-identical to [`exchange`] (it *is* `exchange` — the plain entry
-/// point delegates here with a [`NoopRecorder`]). Recording only reads
-/// values the run already computed, so an enabled recorder observes, and
-/// never perturbs, the trajectory.
-///
-/// # Errors
-///
-/// As [`exchange`].
-pub fn exchange_traced(
-    quadrant: &Quadrant,
-    initial: &Assignment,
-    stack: &StackConfig,
-    config: &ExchangeConfig,
-    recorder: &mut dyn Recorder,
-) -> Result<ExchangeResult, CoreError> {
-    exchange_cancellable(
+    exchange_traced(
         quadrant,
         initial,
         stack,
         config,
-        recorder,
+        &mut NoopRecorder,
         &CancelToken::new(),
     )
 }
 
-/// [`exchange_traced`] with cooperative cancellation: the annealing loop
-/// polls `cancel` at every temperature-step boundary and every few hundred
-/// proposals within a step, returning [`CoreError::Cancelled`] promptly
-/// once the token fires (explicitly or via its wall-clock deadline).
+/// [`exchange`] with telemetry and cooperative cancellation.
 ///
-/// A run that completes without the token firing is **bit-identical** to
-/// [`exchange`] — the polls never touch the RNG stream or any cost state.
-/// This is the entry point `copack-serve` uses to enforce per-job
-/// timeouts.
+/// Emits `RunStart`, per-move `MoveAccepted`/`MoveRejected`, per-step
+/// `TempStep` and a final `RunEnd` into `recorder`. The recorder's
+/// [`Recorder::enabled`]/[`Recorder::wants_rejected`] flags are cached
+/// once at startup; with a disabled recorder the run is bit-identical to
+/// [`exchange`] (it *is* `exchange` — the plain entry point delegates
+/// here with a [`NoopRecorder`]). Recording only reads values the run
+/// already computed, so an enabled recorder observes, and never
+/// perturbs, the trajectory.
+///
+/// The annealing loop polls `cancel` at every temperature-step boundary
+/// and every few hundred proposals within a step, returning
+/// [`CoreError::Cancelled`] promptly once the token fires (explicitly or
+/// via its wall-clock deadline). A run that completes without the token
+/// firing is **bit-identical** to [`exchange`] — the polls never touch
+/// the RNG stream or any cost state. `copack-serve` passes a deadline
+/// token here to enforce per-job timeouts.
 ///
 /// # Errors
 ///
 /// As [`exchange`], plus [`CoreError::Cancelled`].
-pub fn exchange_cancellable(
+pub fn exchange_traced(
     quadrant: &Quadrant,
     initial: &Assignment,
     stack: &StackConfig,
@@ -273,7 +263,7 @@ pub(crate) type FrozenRun = (Vec<(u32, u32)>, usize, ExchangeStats);
 /// Resumable state of one annealing run: the incremental kernel hoisted
 /// into a struct so the schedule can be advanced in segments.
 ///
-/// [`exchange_cancellable`] drives a driver straight to completion —
+/// [`exchange_traced`] drives a driver straight to completion —
 /// construction, every temperature step and the final rematerialisation
 /// execute the exact statements of the former inline implementation, in
 /// the same order, so results stay bit-identical to the pre-refactor
@@ -1551,7 +1541,7 @@ mod tests {
         let initial = dfa(&q, 1).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let err = exchange_cancellable(
+        let err = exchange_traced(
             &q,
             &initial,
             &StackConfig::planar(),
@@ -1563,7 +1553,7 @@ mod tests {
         assert!(matches!(err, CoreError::Cancelled), "{err}");
         // An already-expired deadline behaves the same.
         let expired = CancelToken::with_deadline(std::time::Instant::now());
-        let err = exchange_cancellable(
+        let err = exchange_traced(
             &q,
             &initial,
             &StackConfig::planar(),
@@ -1582,7 +1572,7 @@ mod tests {
         let cfg = fast_config(7);
         let plain = exchange(&q, &initial, &StackConfig::planar(), &cfg).unwrap();
         let token = CancelToken::deadline_in(std::time::Duration::from_secs(3600));
-        let tokened = exchange_cancellable(
+        let tokened = exchange_traced(
             &q,
             &initial,
             &StackConfig::planar(),

@@ -85,8 +85,8 @@ pub use delta::{apply_delta, cancelling_delta, diff_quadrant, Edit, InstanceDelt
 pub use dfa::dfa;
 pub use error::CoreError;
 pub use exchange::{
-    exchange, exchange_cancellable, exchange_reference, exchange_reference_traced, exchange_traced,
-    ExchangeResult, ExchangeStats,
+    exchange, exchange_reference, exchange_reference_traced, exchange_traced, ExchangeResult,
+    ExchangeStats,
 };
 pub use ifa::ifa;
 pub use margin::{margin_penalty, MarginTracker};
@@ -100,11 +100,11 @@ pub use pipeline::{
     CodesignReport, SupplyNoise,
 };
 pub use portfolio::{
-    derive_seed, exchange_portfolio, exchange_portfolio_cancellable, exchange_portfolio_traced,
-    replay_journal, tempering_swap_accepts, tempering_swap_draw, tempering_swap_probability,
-    PortfolioConfig, PortfolioMode, PortfolioResult, StartReport,
+    derive_seed, exchange_portfolio, exchange_portfolio_traced, replay_journal,
+    tempering_swap_accepts, tempering_swap_draw, tempering_swap_probability, PortfolioConfig,
+    PortfolioMode, PortfolioResult, StartReport,
 };
 pub use random::random_assignment;
 pub use sections::{increased_density, SectionBaseline};
 pub use tracker::{DeltaIrTracker, OmegaTracker, SectionTracker};
-pub use warm::{exchange_warm, exchange_warm_from_journal, repair_assignment, warm_schedule};
+pub use warm::{exchange_warm, repair_assignment, warm_schedule};

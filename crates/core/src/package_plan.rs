@@ -9,10 +9,10 @@
 
 use copack_geom::{Assignment, NetKind, Package, Quadrant, QuadrantSide};
 use copack_obs::{Event, NoopRecorder, Recorder, TraceBuffer};
-use copack_power::{solve_sor_warm_traced, GridSpec, PadRing};
+use copack_power::{solve_sor_nodes, GridSpec, PadRing};
 use copack_route::{analyze, cutline_congestion, CutlineReport, RoutingReport};
 
-use crate::{assign, exchange_traced, Codesign, CoreError, ExchangeResult};
+use crate::{assign, exchange_traced, CancelToken, Codesign, CoreError, ExchangeResult};
 
 /// The outcome of planning a whole package.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +74,7 @@ pub fn evaluate_package_ir_traced(
     }
     let ring = PadRing::from_ts(pads.iter().map(|(_, slot)| slot.t))?;
     Ok(Some(
-        solve_sor_warm_traced(grid, &ring, None, recorder)?.max_drop(),
+        solve_sor_nodes(grid, &ring.clamp_nodes(grid), None, recorder)?.max_drop(),
     ))
 }
 
@@ -92,8 +92,14 @@ fn plan_side(
     // The derived seed depends only on the side, so the outcome is the
     // same whether the sides run serially or concurrently.
     side_config.seed = config.exchange.seed.wrapping_add(side.index() as u64 + 1);
-    let ExchangeResult { assignment, .. } =
-        exchange_traced(quadrant, initial, &config.stack, &side_config, recorder)?;
+    let ExchangeResult { assignment, .. } = exchange_traced(
+        quadrant,
+        initial,
+        &config.stack,
+        &side_config,
+        recorder,
+        &CancelToken::new(),
+    )?;
     let report = analyze(quadrant, &assignment, config.density_model)?;
     if recorder.enabled() {
         recorder.record(&Event::RoutingEvaluated {

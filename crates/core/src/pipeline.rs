@@ -3,15 +3,13 @@
 
 use copack_geom::{Assignment, NetKind, Quadrant, StackConfig};
 use copack_obs::{Event, NoopRecorder, Recorder};
-use copack_power::{
-    improvement_percent, solve_sor, solve_sor_warm_traced, GridSpec, IrMap, PadRing,
-};
+use copack_power::{improvement_percent, solve_sor, solve_sor_nodes, GridSpec, IrMap, PadRing};
 use copack_route::{analyze, DensityModel, RoutingReport};
 use serde::{Deserialize, Serialize};
 
 use crate::{
     dfa, exchange_traced, ifa, omega_of_assignment, random_assignment, total_bondwire,
-    AssignMethod, CoreError, ExchangeConfig, ExchangeResult, ExchangeStats,
+    AssignMethod, CancelToken, CoreError, ExchangeConfig, ExchangeResult, ExchangeStats,
 };
 
 /// Runs the chosen congestion-driven assignment method.
@@ -51,9 +49,9 @@ pub fn evaluate_ir(
 /// warm-start guess for the solver.
 ///
 /// The annealer's `FullSolve` objective uses this to chain solves: each
-/// accepted move's solution seeds the next solve
-/// ([`copack_power::solve_sor_warm`]), which converges in a fraction of the
-/// sweeps when only one pad moved. Pass `None` for a cold solve — then the
+/// accepted move's solution seeds the next solve (the `guess` of
+/// [`copack_power::solve_sor_nodes`]), which converges in a fraction of
+/// the sweeps when only one pad moved. Pass `None` for a cold solve — then the
 /// result is exactly [`solve_sor`]'s.
 ///
 /// # Errors
@@ -70,7 +68,7 @@ pub fn evaluate_ir_map(
 
 /// [`evaluate_ir_map`] with telemetry: the SOR solve streams per-sweep
 /// residuals into `recorder` (see
-/// [`copack_power::solve_sor_warm_traced`]).
+/// [`copack_power::solve_sor_nodes`]).
 ///
 /// # Errors
 ///
@@ -97,7 +95,12 @@ pub fn evaluate_ir_map_traced(
         return Ok(None);
     }
     let ring = PadRing::from_ts(ts)?;
-    Ok(Some(solve_sor_warm_traced(grid, &ring, warm, recorder)?))
+    Ok(Some(solve_sor_nodes(
+        grid,
+        &ring.clamp_nodes(grid),
+        warm,
+        recorder,
+    )?))
 }
 
 /// Worst-case supply noise of a full Vdd + ground rail pair.
@@ -206,8 +209,8 @@ impl Codesign {
     ///
     /// # Errors
     ///
-    /// Propagates errors from any stage; see [`exchange`] for the
-    /// exchange-step conditions.
+    /// Propagates errors from any stage; see
+    /// [`exchange`](crate::exchange()) for the exchange-step conditions.
     pub fn run(&self, quadrant: &Quadrant) -> Result<CodesignReport, CoreError> {
         self.run_traced(quadrant, &mut NoopRecorder)
     }
@@ -244,8 +247,14 @@ impl Codesign {
         let omega_before = omega_of_assignment(quadrant, &initial, psi)?;
         let bondwire_before = total_bondwire(quadrant, &initial, &self.stack)?;
 
-        let ExchangeResult { assignment, stats } =
-            exchange_traced(quadrant, &initial, &self.stack, &self.exchange, recorder)?;
+        let ExchangeResult { assignment, stats } = exchange_traced(
+            quadrant,
+            &initial,
+            &self.stack,
+            &self.exchange,
+            recorder,
+            &CancelToken::new(),
+        )?;
 
         let routing_after = analyze(quadrant, &assignment, self.density_model)?;
         if rec_on {

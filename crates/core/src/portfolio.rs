@@ -465,10 +465,11 @@ pub fn exchange_portfolio(
         config,
         portfolio,
         &mut NoopRecorder,
+        &CancelToken::new(),
     )
 }
 
-/// [`exchange_portfolio`] with telemetry.
+/// [`exchange_portfolio`] with telemetry and cooperative cancellation.
 ///
 /// Each start records into a private [`TraceBuffer`]; the buffers are
 /// merged into `recorder` in start-index order after the last round, so
@@ -477,36 +478,13 @@ pub fn exchange_portfolio(
 /// closes with [`Event::PortfolioPrune`]; only the winner emits
 /// `RunEnd`.
 ///
-/// # Errors
-///
-/// As [`exchange_portfolio`].
-pub fn exchange_portfolio_traced(
-    quadrant: &Quadrant,
-    initial: &Assignment,
-    stack: &StackConfig,
-    config: &ExchangeConfig,
-    portfolio: &PortfolioConfig,
-    recorder: &mut dyn Recorder,
-) -> Result<PortfolioResult, CoreError> {
-    exchange_portfolio_cancellable(
-        quadrant,
-        initial,
-        stack,
-        config,
-        portfolio,
-        recorder,
-        &CancelToken::default(),
-    )
-}
-
-/// [`exchange_portfolio_traced`] honoring a [`CancelToken`] (polled by
-/// every live start; the first cancellation, in start-index order, is
-/// propagated).
+/// Every live start polls `cancel`; the first cancellation, in
+/// start-index order, is propagated.
 ///
 /// # Errors
 ///
 /// As [`exchange_portfolio`], plus [`CoreError::Cancelled`].
-pub fn exchange_portfolio_cancellable(
+pub fn exchange_portfolio_traced(
     quadrant: &Quadrant,
     initial: &Assignment,
     stack: &StackConfig,
@@ -1182,8 +1160,9 @@ mod tests {
             ..PortfolioConfig::default()
         };
         let mut buf1 = TraceBuffer::new();
-        let r1 = exchange_portfolio_traced(&q, &a, &stack, &cfg, &base, &mut buf1)
-            .expect("traced serial");
+        let r1 =
+            exchange_portfolio_traced(&q, &a, &stack, &cfg, &base, &mut buf1, &CancelToken::new())
+                .expect("traced serial");
         let mut buf8 = TraceBuffer::new();
         let r8 = exchange_portfolio_traced(
             &q,
@@ -1192,6 +1171,7 @@ mod tests {
             &cfg,
             &PortfolioConfig { threads: 8, ..base },
             &mut buf8,
+            &CancelToken::new(),
         )
         .expect("traced threaded");
         assert_eq!(r1, r8);
@@ -1223,7 +1203,7 @@ mod tests {
         let (q, a) = case();
         let token = CancelToken::new();
         token.cancel();
-        let err = exchange_portfolio_cancellable(
+        let err = exchange_portfolio_traced(
             &q,
             &a,
             &StackConfig::default(),
@@ -1271,8 +1251,16 @@ mod tests {
                 ..PortfolioConfig::default()
             };
             let mut buf1 = TraceBuffer::new();
-            let serial = exchange_portfolio_traced(&q, &a, &stack, &cfg, &base, &mut buf1)
-                .expect("serial portfolio");
+            let serial = exchange_portfolio_traced(
+                &q,
+                &a,
+                &stack,
+                &cfg,
+                &base,
+                &mut buf1,
+                &CancelToken::new(),
+            )
+            .expect("serial portfolio");
             for threads in [2, 8] {
                 let mut bufn = TraceBuffer::new();
                 let threaded = exchange_portfolio_traced(
@@ -1285,6 +1273,7 @@ mod tests {
                         ..base.clone()
                     },
                     &mut bufn,
+                    &CancelToken::new(),
                 )
                 .expect("threaded portfolio");
                 assert_eq!(threaded, serial, "mode {mode:?} threads {threads}");
@@ -1352,6 +1341,7 @@ mod tests {
                 ..PortfolioConfig::default()
             },
             &mut buf,
+            &CancelToken::new(),
         )
         .expect("coop portfolio");
         assert!(result.pruned() > 0, "zero margin should prune something");
@@ -1398,6 +1388,7 @@ mod tests {
                 ..PortfolioConfig::default()
             },
             &mut buf,
+            &CancelToken::new(),
         )
         .expect("temper portfolio");
         assert_eq!(result.pruned(), 0, "tempering never prunes a rung");

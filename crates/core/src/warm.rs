@@ -36,8 +36,8 @@ use copack_obs::Recorder;
 use copack_route::check_monotonic;
 
 use crate::{
-    dfa, exchange_cancellable, margin_penalty, CancelToken, CoreError, DeltaIrTracker,
-    ExchangeConfig, ExchangeResult, Schedule,
+    dfa, exchange_traced, margin_penalty, CancelToken, CoreError, DeltaIrTracker, ExchangeConfig,
+    ExchangeResult, Schedule,
 };
 
 /// Builds a monotonic-legal starting assignment for an edited quadrant
@@ -194,7 +194,7 @@ fn start_heat(
 /// shortened [`warm_schedule`]. Deterministic for a fixed
 /// `(previous, config)` — repair is pure and the annealer is seeded.
 ///
-/// Below [`WARM_SCRATCH_CUTOFF`] fingers the edited quadrant is simply
+/// Below `WARM_SCRATCH_CUTOFF` fingers the edited quadrant is simply
 /// planned from scratch — same DFA start, same schedule, same seed as a
 /// cold run, so the result is *bit-identical* to from-scratch and the
 /// replan equivalence holds by construction (a tiny anneal is
@@ -207,9 +207,9 @@ fn start_heat(
 /// a *cheap* repaired start gets a *cold* walk — too cold to rearrange
 /// the supply-pad spacing an edit obsoleted, whatever the schedule
 /// length. The warm path therefore compares the repaired start's heat
-/// against a fresh DFA construction's ([`start_heat`], one O(n)
+/// against a fresh DFA construction's (`start_heat`, one O(n)
 /// evaluation each) and scales `initial_temp_factor` by the ratio
-/// `fresh/repaired` (capped at [`MAX_REHEAT_SCALE`]), so the warm
+/// `fresh/repaired` (capped at `MAX_REHEAT_SCALE`), so the warm
 /// anneal reheats to the same **absolute** temperature a cold run
 /// would start at. Basin escape then no longer depends on how cheap
 /// the start happens to be, and since the returned plan is the running
@@ -235,11 +235,11 @@ pub fn exchange_warm(
     let fresh = dfa(quadrant, 1).ok();
     if quadrant.finger_count() < WARM_SCRATCH_CUTOFF {
         if let Some(fresh) = fresh {
-            return exchange_cancellable(quadrant, &fresh, stack, config, recorder, cancel);
+            return exchange_traced(quadrant, &fresh, stack, config, recorder, cancel);
         }
         // No DFA construction for this instance: anneal the repaired
         // plan under the cold schedule instead.
-        return exchange_cancellable(quadrant, &repaired, stack, config, recorder, cancel);
+        return exchange_traced(quadrant, &repaired, stack, config, recorder, cancel);
     }
     let mut warm = config.clone();
     warm.schedule = warm_schedule(&config.schedule);
@@ -251,31 +251,7 @@ pub fn exchange_warm(
             warm.schedule.initial_temp_factor *= scale;
         }
     }
-    exchange_cancellable(quadrant, &repaired, stack, &warm, recorder, cancel)
-}
-
-/// [`exchange_warm`] seeded from a frozen run's journal instead of a
-/// materialised plan: replays `journal[..best_len]` onto `initial`
-/// (the winning trajectory kept by the portfolio reduction) and warm
-/// starts from the replayed plan.
-///
-/// # Errors
-///
-/// As [`exchange_warm`]; [`CoreError::Geom`] if the journal does not
-/// replay onto `initial`.
-#[allow(clippy::too_many_arguments)] // the journal pair is inherent to the entry point
-pub fn exchange_warm_from_journal(
-    quadrant: &Quadrant,
-    initial: &Assignment,
-    journal: &[(u32, u32)],
-    best_len: usize,
-    stack: &StackConfig,
-    config: &ExchangeConfig,
-    recorder: &mut dyn Recorder,
-    cancel: &CancelToken,
-) -> Result<ExchangeResult, CoreError> {
-    let previous = crate::replay_journal(initial, journal, best_len)?;
-    exchange_warm(quadrant, &previous, stack, config, recorder, cancel)
+    exchange_traced(quadrant, &repaired, stack, &warm, recorder, cancel)
 }
 
 #[cfg(test)]
@@ -503,11 +479,10 @@ mod tests {
             },
         )
         .unwrap();
-        let from_journal = exchange_warm_from_journal(
+        let replayed = crate::replay_journal(&initial, &p.journal, p.best_len).unwrap();
+        let from_journal = exchange_warm(
             &e,
-            &initial,
-            &p.journal,
-            p.best_len,
+            &replayed,
             &StackConfig::planar(),
             &cfg,
             &mut NoopRecorder,
@@ -526,6 +501,66 @@ mod tests {
         // K = 1 portfolio's winner IS the plain exchange result, so both
         // seeds are the same assignment and the runs coincide exactly.
         assert_eq!(from_journal, from_plan);
+    }
+
+    /// A quadrant past the scratch cutoff: four rows of 15 nets with
+    /// nine power nets spread over them.
+    fn large() -> Quadrant {
+        let mut b = Quadrant::builder();
+        for r in 0..4u32 {
+            b = b.row(r * 15..(r + 1) * 15);
+        }
+        for p in [1u32, 7, 13, 18, 24, 31, 38, 45, 53] {
+            b = b.net_kind(p, NetKind::Power);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn fired_token_cancels_the_warm_start_on_both_sides_of_the_cutoff() {
+        let cfg = fast_config(9);
+        let token = CancelToken::new();
+        token.cancel();
+        assert!(edited().finger_count() < WARM_SCRATCH_CUTOFF);
+        assert!(large().finger_count() >= WARM_SCRATCH_CUTOFF);
+        for (q, e) in [(base(), edited()), (large(), large())] {
+            let initial = dfa(&q, 1).unwrap();
+            let prev = exchange(&q, &initial, &StackConfig::planar(), &cfg).unwrap();
+            let err = exchange_warm(
+                &e,
+                &prev.assignment,
+                &StackConfig::planar(),
+                &cfg,
+                &mut NoopRecorder,
+                &token,
+            )
+            .unwrap_err();
+            assert!(matches!(err, CoreError::Cancelled), "{err}");
+            // The journal path: replay a K = 1 portfolio's winner, then
+            // warm-start from it.
+            let p = crate::exchange_portfolio(
+                &q,
+                &initial,
+                &StackConfig::planar(),
+                &cfg,
+                &crate::PortfolioConfig {
+                    starts: 1,
+                    ..crate::PortfolioConfig::default()
+                },
+            )
+            .unwrap();
+            let replayed = crate::replay_journal(&initial, &p.journal, p.best_len).unwrap();
+            let err = exchange_warm(
+                &e,
+                &replayed,
+                &StackConfig::planar(),
+                &cfg,
+                &mut NoopRecorder,
+                &token,
+            )
+            .unwrap_err();
+            assert!(matches!(err, CoreError::Cancelled), "{err}");
+        }
     }
 
     #[test]

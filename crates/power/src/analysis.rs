@@ -4,10 +4,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    cg::solve_cg_nodes, solve_cg, solve_sor, sor::solve_sor_nodes, GridSpec, IrMap, PadPlan,
-    PadRing, PowerError,
-};
+use copack_obs::NoopRecorder;
+
+use crate::{solve_cg_nodes, solve_sor_nodes, GridSpec, IrMap, PadPlan, PowerError};
 
 /// Which linear solver to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -28,18 +27,6 @@ impl fmt::Display for Solver {
     }
 }
 
-/// Solves the grid with the chosen solver.
-///
-/// # Errors
-///
-/// Propagates [`PowerError`] from the solver.
-pub fn solve(spec: &GridSpec, pads: &PadRing, solver: Solver) -> Result<IrMap, PowerError> {
-    match solver {
-        Solver::Sor => solve_sor(spec, pads),
-        Solver::Cg => solve_cg(spec, pads),
-    }
-}
-
 /// Solves the grid for any pad plan (wire-bond ring, flip-chip array, or
 /// explicit nodes).
 ///
@@ -49,8 +36,8 @@ pub fn solve(spec: &GridSpec, pads: &PadRing, solver: Solver) -> Result<IrMap, P
 pub fn solve_plan(spec: &GridSpec, plan: &PadPlan, solver: Solver) -> Result<IrMap, PowerError> {
     let nodes = plan.clamp_nodes(spec)?;
     match solver {
-        Solver::Sor => solve_sor_nodes(spec, &nodes),
-        Solver::Cg => solve_cg_nodes(spec, &nodes),
+        Solver::Sor => solve_sor_nodes(spec, &nodes, None, &mut NoopRecorder),
+        Solver::Cg => solve_cg_nodes(spec, &nodes, &mut NoopRecorder),
     }
 }
 
@@ -72,11 +59,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn solve_dispatches_to_both_solvers() {
+    fn solve_plan_dispatches_to_both_solvers() {
         let spec = GridSpec::default_chip(10);
-        let ring = PadRing::uniform(4);
-        let a = solve(&spec, &ring, Solver::Sor).unwrap();
-        let b = solve(&spec, &ring, Solver::Cg).unwrap();
+        let plan = PadPlan::WireBond(crate::PadRing::uniform(4));
+        let a = solve_plan(&spec, &plan, Solver::Sor).unwrap();
+        let b = solve_plan(&spec, &plan, Solver::Cg).unwrap();
         assert!((a.max_drop() - b.max_drop()).abs() < 1e-6);
     }
 

@@ -17,40 +17,19 @@ const TOL: f64 = 1e-12;
 /// * [`PowerError::BadSpec`] for an invalid grid.
 /// * [`PowerError::NoConvergence`] if the iteration cap (`10·n`) is hit.
 pub fn solve_cg(spec: &GridSpec, pads: &PadRing) -> Result<IrMap, PowerError> {
-    solve_cg_nodes(spec, &pads.clamp_nodes(spec))
+    solve_cg_nodes(spec, &pads.clamp_nodes(spec), &mut NoopRecorder)
 }
 
-/// [`solve_cg`] with telemetry: one [`Event::SolverSweep`] per CG
-/// iteration (the residual is the relative residual norm) and a final
-/// [`Event::SolverDone`]. A disabled recorder costs nothing and the
-/// solve is bit-identical to the untraced entry points.
+/// [`solve_cg`] for an explicit clamp-node list (any [`crate::PadPlan`]),
+/// with telemetry: one [`Event::SolverSweep`] per CG iteration (the
+/// residual is the relative residual norm) and a final
+/// [`Event::SolverDone`]. A disabled recorder costs nothing and the solve
+/// is bit-identical to an untraced one.
 ///
 /// # Errors
 ///
 /// As [`solve_cg`].
-pub fn solve_cg_traced(
-    spec: &GridSpec,
-    pads: &PadRing,
-    recorder: &mut dyn Recorder,
-) -> Result<IrMap, PowerError> {
-    solve_cg_nodes_traced(spec, &pads.clamp_nodes(spec), recorder)
-}
-
-/// [`solve_cg`] for an explicit clamp-node list (any [`crate::PadPlan`]).
-///
-/// # Errors
-///
-/// As [`solve_cg`].
-pub fn solve_cg_nodes(spec: &GridSpec, clamp: &[(usize, usize)]) -> Result<IrMap, PowerError> {
-    solve_cg_nodes_traced(spec, clamp, &mut NoopRecorder)
-}
-
-/// [`solve_cg_nodes`] with telemetry (see [`solve_cg_traced`]).
-///
-/// # Errors
-///
-/// As [`solve_cg`].
-pub fn solve_cg_nodes_traced(
+pub fn solve_cg_nodes(
     spec: &GridSpec,
     clamp: &[(usize, usize)],
     recorder: &mut dyn Recorder,

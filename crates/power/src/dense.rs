@@ -25,20 +25,12 @@ pub const MAX_DENSE_NODES: usize = 1024;
 /// * [`PowerError::NoConvergence`] if elimination hits a zero pivot (the
 ///   grid floats, which cannot happen once a pad clamps a node).
 pub fn solve_dense(spec: &GridSpec, pads: &PadRing) -> Result<IrMap, PowerError> {
-    solve_dense_nodes(spec, &pads.clamp_nodes(spec))
-}
-
-/// [`solve_dense`] for an explicit clamp-node list.
-///
-/// # Errors
-///
-/// As [`solve_dense`].
-pub fn solve_dense_nodes(spec: &GridSpec, clamp: &[(usize, usize)]) -> Result<IrMap, PowerError> {
+    let clamp = pads.clamp_nodes(spec);
     spec.validate()?;
     let (nx, ny) = (spec.nx, spec.ny);
     let n = spec.node_count();
     let mut clamped = vec![false; n];
-    for &(i, j) in clamp {
+    for &(i, j) in &clamp {
         clamped[spec.idx(i, j)] = true;
     }
 

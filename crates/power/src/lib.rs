@@ -56,16 +56,13 @@ mod placement;
 mod proxy;
 mod sor;
 
-pub use analysis::{improvement_percent, solve, solve_plan, Solver};
-pub use cg::{solve_cg, solve_cg_nodes, solve_cg_nodes_traced, solve_cg_traced};
-pub use dense::{solve_dense, solve_dense_nodes, MAX_DENSE_NODES};
+pub use analysis::{improvement_percent, solve_plan, Solver};
+pub use cg::{solve_cg, solve_cg_nodes};
+pub use dense::{solve_dense, MAX_DENSE_NODES};
 pub use error::PowerError;
 pub use grid::{GridSpec, Hotspot};
 pub use irmap::IrMap;
 pub use pads::PadRing;
 pub use placement::{PadArray, PadPlan};
 pub use proxy::PadSpacingProxy;
-pub use sor::{
-    solve_sor, solve_sor_nodes, solve_sor_nodes_warm, solve_sor_nodes_warm_traced, solve_sor_warm,
-    solve_sor_warm_traced,
-};
+pub use sor::{solve_sor, solve_sor_nodes};

@@ -23,80 +23,30 @@ const MAX_SWEEPS: usize = 200_000;
 /// * [`PowerError::NoConvergence`] if the sweep cap is hit (practically
 ///   unreachable for sane grids).
 pub fn solve_sor(spec: &GridSpec, pads: &PadRing) -> Result<IrMap, PowerError> {
-    solve_sor_nodes(spec, &pads.clamp_nodes(spec))
+    solve_sor_nodes(spec, &pads.clamp_nodes(spec), None, &mut NoopRecorder)
 }
 
-/// [`solve_sor`] warm-started from a previous solution's voltages.
+/// [`solve_sor`] for an explicit clamp-node list (any [`crate::PadPlan`]),
+/// with an optional warm-start guess and telemetry.
 ///
-/// When the pad ring changes only slightly between solves — the annealer's
+/// When the pad set changes only slightly between solves — the annealer's
 /// FullSolve objective moves one pad per accepted move — the previous
 /// fixed point is an excellent initial iterate and SOR converges in a
-/// fraction of the sweeps. The result satisfies the same `1e-12`
+/// fraction of the sweeps. A warm result satisfies the same `1e-12`
 /// convergence tolerance as a cold solve but is **not** bit-identical to
-/// one (the iteration path differs).
+/// one (the iteration path differs). A `guess` of the wrong length (e.g.
+/// from a different grid) is ignored and the solve falls back to the
+/// cold start. Clamp nodes in the guess are reset to `Vdd`.
 ///
-/// A `guess` of the wrong length (e.g. from a different grid) is ignored
-/// and the solve falls back to the cold start. Clamp nodes in the guess
-/// are reset to `Vdd`.
-///
-/// # Errors
-///
-/// As [`solve_sor`].
-pub fn solve_sor_warm(
-    spec: &GridSpec,
-    pads: &PadRing,
-    guess: Option<&[f64]>,
-) -> Result<IrMap, PowerError> {
-    solve_sor_nodes_warm(spec, &pads.clamp_nodes(spec), guess)
-}
-
-/// [`solve_sor_warm`] with telemetry: one [`Event::SolverSweep`] per
-/// sweep (the residual is the largest voltage update) and a final
-/// [`Event::SolverDone`]. A disabled recorder costs nothing and the
-/// solve is bit-identical to the untraced entry points.
+/// `recorder` receives one [`Event::SolverSweep`] per sweep (the
+/// residual is the largest voltage update) and a final
+/// [`Event::SolverDone`]. A disabled recorder costs nothing and the solve
+/// is bit-identical to an untraced one.
 ///
 /// # Errors
 ///
 /// As [`solve_sor`].
-pub fn solve_sor_warm_traced(
-    spec: &GridSpec,
-    pads: &PadRing,
-    guess: Option<&[f64]>,
-    recorder: &mut dyn Recorder,
-) -> Result<IrMap, PowerError> {
-    solve_sor_nodes_warm_traced(spec, &pads.clamp_nodes(spec), guess, recorder)
-}
-
-/// [`solve_sor`] for an explicit clamp-node list (any [`crate::PadPlan`]).
-///
-/// # Errors
-///
-/// As [`solve_sor`].
-pub fn solve_sor_nodes(spec: &GridSpec, clamp: &[(usize, usize)]) -> Result<IrMap, PowerError> {
-    solve_sor_nodes_warm(spec, clamp, None)
-}
-
-/// [`solve_sor_nodes`] with an optional warm-start guess (see
-/// [`solve_sor_warm`]).
-///
-/// # Errors
-///
-/// As [`solve_sor`].
-pub fn solve_sor_nodes_warm(
-    spec: &GridSpec,
-    clamp: &[(usize, usize)],
-    guess: Option<&[f64]>,
-) -> Result<IrMap, PowerError> {
-    solve_sor_nodes_warm_traced(spec, clamp, guess, &mut NoopRecorder)
-}
-
-/// [`solve_sor_nodes_warm`] with telemetry (see
-/// [`solve_sor_warm_traced`]).
-///
-/// # Errors
-///
-/// As [`solve_sor`].
-pub fn solve_sor_nodes_warm_traced(
+pub fn solve_sor_nodes(
     spec: &GridSpec,
     clamp: &[(usize, usize)],
     guess: Option<&[f64]>,
@@ -276,7 +226,13 @@ mod tests {
         let b = PadRing::from_ts([0.12, 0.35, 0.6, 0.85]).unwrap(); // one pad nudged
         let cold_a = solve_sor(&spec, &a).unwrap();
         let cold_b = solve_sor(&spec, &b).unwrap();
-        let warm_b = solve_sor_warm(&spec, &b, Some(cold_a.voltages())).unwrap();
+        let warm_b = solve_sor_nodes(
+            &spec,
+            &b.clamp_nodes(&spec),
+            Some(cold_a.voltages()),
+            &mut NoopRecorder,
+        )
+        .unwrap();
         for (w, c) in warm_b.voltages().iter().zip(cold_b.voltages()) {
             assert!((w - c).abs() < 1e-9, "{w} vs {c}");
         }
@@ -292,7 +248,13 @@ mod tests {
         let ring = PadRing::uniform(4);
         let cold = solve_sor(&spec, &ring).unwrap();
         let short_guess = vec![spec.vdd; 7];
-        let warm = solve_sor_warm(&spec, &ring, Some(&short_guess)).unwrap();
+        let warm = solve_sor_nodes(
+            &spec,
+            &ring.clamp_nodes(&spec),
+            Some(&short_guess),
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(warm.voltages(), cold.voltages());
     }
 

@@ -125,29 +125,6 @@ pub fn density_map(
     density_map_with_plan(quadrant, assignment, model, &via_plan(quadrant))
 }
 
-/// [`density_map`] with telemetry: records one
-/// [`copack_obs::Event::DensityEvaluated`] carrying the map's maximum
-/// density and line count. A disabled recorder costs nothing.
-///
-/// # Errors
-///
-/// As [`density_map`].
-pub fn density_map_traced(
-    quadrant: &Quadrant,
-    assignment: &Assignment,
-    model: DensityModel,
-    recorder: &mut dyn copack_obs::Recorder,
-) -> Result<DensityMap, RouteError> {
-    let map = density_map(quadrant, assignment, model)?;
-    if recorder.enabled() {
-        recorder.record(&copack_obs::Event::DensityEvaluated {
-            max_density: map.max_density(),
-            lines: map.rows.len() as u32,
-        });
-    }
-    Ok(map)
-}
-
 /// [`density_map`] under an explicit via plan (see
 /// [`crate::via_plan_with`]).
 ///

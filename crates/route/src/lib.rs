@@ -79,9 +79,7 @@ pub use balance::{balance_line, balanced_density_map, balanced_paths};
 pub use capacity::{check_capacity, CapacityViolation};
 pub use crossing::{line_crossings, Crossing, LineCrossings};
 pub use cutline::{cutline_congestion, CutlineReport, FlankLoad};
-pub use density::{
-    density_map, density_map_traced, density_map_with_plan, DensityMap, DensityModel, RowDensity,
-};
+pub use density::{density_map, density_map_with_plan, DensityMap, DensityModel, RowDensity};
 pub use error::RouteError;
 pub use estimator::{estimate_congestion, CongestionEstimate};
 pub use monotonic::{check_monotonic, exchange_range, is_monotonic};

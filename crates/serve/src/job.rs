@@ -13,9 +13,8 @@
 //! coalesce onto one entry.
 
 use copack_core::{
-    assign, exchange_cancellable, exchange_portfolio_cancellable, exchange_warm,
-    exchange_warm_from_journal, AssignMethod, CancelToken, CoreError, ExchangeConfig,
-    PortfolioConfig, PortfolioMode,
+    assign, exchange_portfolio_traced, exchange_traced, exchange_warm, replay_journal,
+    AssignMethod, CancelToken, CoreError, ExchangeConfig, PortfolioConfig, PortfolioMode,
 };
 use copack_geom::{Assignment, Quadrant, StackConfig};
 use copack_io::{
@@ -182,7 +181,7 @@ pub struct JobOutput {
 
 /// Content-addressed key for `(instance, config)`.
 ///
-/// Hashes the [`KEY_DOMAIN`] tag, each result-affecting spec field in a
+/// Hashes the `KEY_DOMAIN` tag, each result-affecting spec field in a
 /// fixed order, then the canonical circuit serialization. Exchange-only
 /// parameters (`psi`, `exchange_seed`) are folded in **only when the
 /// exchange pass is enabled** — with it disabled they cannot affect the
@@ -267,7 +266,7 @@ pub fn cache_key_with(spec: &JobSpec, quadrant: &Quadrant, profile: Option<&Tune
 ///
 /// `replay_journal(initial, journal[..best_len])` reproduces the
 /// winner's assignment exactly (a core invariant), so seeding
-/// [`exchange_warm_from_journal`] with a record whose replay matches
+/// [`exchange_warm`] with the replay of a record that matches
 /// the job's `prev` text is equivalent to the parse-and-repair path —
 /// same result, same cache key, less work.
 #[derive(Debug, Clone)]
@@ -404,11 +403,11 @@ pub fn execute_job_full(
             // parse-and-repair round trip.
             if let Some(h) = hint {
                 warm_source = Some("journal");
-                exchange_warm_from_journal(
+                let previous =
+                    replay_journal(&h.initial, &h.journal, h.best_len).map_err(on_core_error)?;
+                exchange_warm(
                     quadrant,
-                    &h.initial,
-                    &h.journal,
-                    h.best_len,
+                    &previous,
                     &stack,
                     &config,
                     &mut NoopRecorder,
@@ -434,7 +433,7 @@ pub fn execute_job_full(
                 .map_err(on_core_error)?
             }
         } else if portfolio.starts > 1 {
-            let won = exchange_portfolio_cancellable(
+            let won = exchange_portfolio_traced(
                 quadrant,
                 &assignment,
                 &stack,
@@ -459,7 +458,7 @@ pub fn execute_job_full(
             });
             won.result
         } else {
-            exchange_cancellable(
+            exchange_traced(
                 quadrant,
                 &assignment,
                 &stack,

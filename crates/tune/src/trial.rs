@@ -1,6 +1,8 @@
 //! One seeded, journaled, replayable trial.
 
-use copack_core::{derive_seed, dfa, exchange_portfolio_traced, ExchangeConfig, PortfolioConfig};
+use copack_core::{
+    derive_seed, dfa, exchange_portfolio_traced, CancelToken, ExchangeConfig, PortfolioConfig,
+};
 use copack_geom::{Quadrant, StackConfig};
 use copack_io::ClassConfig;
 use copack_obs::{early_signals, EarlySignals, TraceBuffer};
@@ -55,8 +57,15 @@ pub fn run_trial(
 
     let initial = dfa(quadrant, 1)?;
     let mut trace = TraceBuffer::new();
-    let result =
-        exchange_portfolio_traced(quadrant, &initial, stack, &config, &portfolio, &mut trace)?;
+    let result = exchange_portfolio_traced(
+        quadrant,
+        &initial,
+        stack,
+        &config,
+        &portfolio,
+        &mut trace,
+        &CancelToken::new(),
+    )?;
     let events = trace.events();
     Ok(TrialOutcome {
         cost: result.result.stats.final_cost,

@@ -10,7 +10,8 @@
 
 use copack_core::{
     assign, exchange, exchange_reference, exchange_traced, increased_density, plan_package,
-    AssignMethod, Codesign, CoreError, DeltaIrTracker, PortfolioConfig, SectionTracker,
+    AssignMethod, CancelToken, Codesign, CoreError, DeltaIrTracker, PortfolioConfig,
+    SectionTracker,
 };
 use copack_geom::{Assignment, FingerIdx, NetKind, Package, Quadrant, StackConfig};
 use copack_io::{write_tune, ClassConfig};
@@ -128,6 +129,7 @@ pub fn check_monotonicity_preserved(quadrant: &Quadrant, config: &VerifyConfig) 
         &stack,
         &config.exchange_config(),
         &mut buf,
+        &CancelToken::new(),
     ) {
         Ok(r) => r,
         Err(e) => return exchange_err(NAME, &e),
@@ -201,7 +203,14 @@ pub fn check_density_conservation(quadrant: &Quadrant, config: &VerifyConfig) ->
     }
 
     let mut buf = TraceBuffer::new();
-    if let Err(e) = exchange_traced(quadrant, &initial, &stack, &xcfg, &mut buf) {
+    if let Err(e) = exchange_traced(
+        quadrant,
+        &initial,
+        &stack,
+        &xcfg,
+        &mut buf,
+        &CancelToken::new(),
+    ) {
         return exchange_err(NAME, &e);
     }
     let events = buf.into_events();
@@ -308,7 +317,7 @@ fn power_pad_ts(quadrant: &Quadrant, assignment: &Assignment) -> Vec<f64> {
 }
 
 /// Oracle 3 — IR cross-check: SOR, CG, and the dense direct solve agree
-/// node for node (within [`IR_TOL`]) on the pad ring implied by the DFA
+/// node for node (within `IR_TOL`) on the pad ring implied by the DFA
 /// order's power pads.
 #[must_use]
 pub fn check_ir_cross(quadrant: &Quadrant, config: &VerifyConfig) -> OracleReport {
@@ -440,6 +449,7 @@ pub fn check_cost_ledger(quadrant: &Quadrant, config: &VerifyConfig) -> OracleRe
         &stack,
         &config.exchange_config(),
         &mut buf,
+        &CancelToken::new(),
     ) {
         Ok(r) => r,
         Err(e) => return exchange_err(NAME, &e),

@@ -7,7 +7,8 @@
 //! catches it and shrinks the witness to a handful of nets.
 
 use copack_core::{
-    assign, exchange_traced, increased_density, AssignMethod, CoreError, SectionTracker,
+    assign, exchange_traced, increased_density, AssignMethod, CancelToken, CoreError,
+    SectionTracker,
 };
 use copack_geom::{FingerIdx, Quadrant};
 use copack_obs::{Event, TraceBuffer};
@@ -41,6 +42,7 @@ pub fn buggy_density_suite(quadrant: &Quadrant, config: &VerifyConfig) -> Vec<Or
         &stack,
         &config.exchange_config(),
         &mut buf,
+        &CancelToken::new(),
     ) {
         return if matches!(e, CoreError::NoMovablePads) {
             vec![OracleReport::pass(NAME, "vacuous: no movable pads")]

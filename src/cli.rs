@@ -29,9 +29,9 @@ use std::io::BufWriter;
 use std::path::Path;
 
 use copack_core::{
-    apply_delta, assign, exchange, exchange_portfolio_traced, exchange_traced, exchange_warm,
-    plan_package, plan_package_traced, AssignMethod, CancelToken, Codesign, CostWeights,
-    ExchangeConfig, PortfolioConfig, PortfolioMode,
+    apply_delta, assign, exchange_portfolio_traced, exchange_traced, exchange_warm, plan_package,
+    plan_package_traced, AssignMethod, CancelToken, Codesign, CostWeights, ExchangeConfig,
+    PortfolioConfig, PortfolioMode,
 };
 use copack_gen::circuit;
 use copack_geom::{Package, StackConfig};
@@ -633,25 +633,22 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
             );
         }
         let starts = portfolio.starts;
+        let mut noop = NoopRecorder;
+        let recorder: &mut dyn Recorder = match telemetry.as_mut() {
+            Some(t) => &mut t.buffer,
+            None => &mut noop,
+        };
+        let cancel = CancelToken::new();
         let result = if starts > 1 {
-            let won = match telemetry.as_mut() {
-                Some(t) => exchange_portfolio_traced(
-                    &quadrant,
-                    &assignment,
-                    &stack,
-                    &xconfig,
-                    &portfolio,
-                    &mut t.buffer,
-                ),
-                None => exchange_portfolio_traced(
-                    &quadrant,
-                    &assignment,
-                    &stack,
-                    &xconfig,
-                    &portfolio,
-                    &mut NoopRecorder,
-                ),
-            }
+            let won = exchange_portfolio_traced(
+                &quadrant,
+                &assignment,
+                &stack,
+                &xconfig,
+                &portfolio,
+                recorder,
+                &cancel,
+            )
             .map_err(|e| e.to_string())?;
             // Same line the daemon's executor prints, so served reports
             // stay byte-identical to local ones.
@@ -664,11 +661,8 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
             );
             won.result
         } else {
-            match telemetry.as_mut() {
-                Some(t) => exchange_traced(&quadrant, &assignment, &stack, &xconfig, &mut t.buffer),
-                None => exchange(&quadrant, &assignment, &stack, &xconfig),
-            }
-            .map_err(|e| e.to_string())?
+            exchange_traced(&quadrant, &assignment, &stack, &xconfig, recorder, &cancel)
+                .map_err(|e| e.to_string())?
         };
         assignment = result.assignment;
         let report =

@@ -2,7 +2,7 @@
 //! malformed input rather than panic or produce garbage.
 
 use copack::cli;
-use copack::core::{dfa, exchange, exchange_traced, CoreError, ExchangeConfig};
+use copack::core::{dfa, exchange, exchange_traced, CancelToken, CoreError, ExchangeConfig};
 use copack::geom::{Assignment, GeomError, NetKind, Quadrant, QuadrantGeometry, StackConfig};
 use copack::io::parse_quadrant;
 use copack::obs::JsonlSink;
@@ -187,7 +187,7 @@ fn sink_write_failures_do_not_abort_the_run() {
     let cfg = ExchangeConfig::default();
     let plain = exchange(&q, &initial, &stack, &cfg).expect("untraced run");
     let mut sink = JsonlSink::new(FailingWriter);
-    let traced = exchange_traced(&q, &initial, &stack, &cfg, &mut sink)
+    let traced = exchange_traced(&q, &initial, &stack, &cfg, &mut sink, &CancelToken::new())
         .expect("the run survives a broken sink");
     assert_eq!(plain, traced);
     // Force serialisation of whatever is still queued: the injected error

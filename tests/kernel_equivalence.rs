@@ -7,8 +7,8 @@
 //! streams match move for move, not just at the end state.
 
 use copack::core::{
-    dfa, exchange, exchange_reference, exchange_reference_traced, exchange_traced, ExchangeConfig,
-    Schedule,
+    dfa, exchange, exchange_reference, exchange_reference_traced, exchange_traced, CancelToken,
+    ExchangeConfig, Schedule,
 };
 use copack::gen::circuits;
 use copack::geom::{NetKind, Quadrant, StackConfig, TierId};
@@ -100,7 +100,14 @@ fn assert_same_trajectory(quadrant: &Quadrant, stack: &StackConfig, seed: u64, l
     let cfg = config(seed);
     let mut fast_buf = TraceBuffer::with_rejected();
     let mut slow_buf = TraceBuffer::with_rejected();
-    let fast = exchange_traced(quadrant, &initial, stack, &cfg, &mut fast_buf);
+    let fast = exchange_traced(
+        quadrant,
+        &initial,
+        stack,
+        &cfg,
+        &mut fast_buf,
+        &CancelToken::new(),
+    );
     let slow = exchange_reference_traced(quadrant, &initial, stack, &cfg, &mut slow_buf);
     // Degenerate instances (e.g. a single net — nothing to swap) must
     // fail identically on both sides; there is no trajectory to compare.

@@ -20,7 +20,7 @@
 
 use copack::core::{
     dfa, exchange_portfolio, exchange_portfolio_traced, tempering_swap_accepts,
-    tempering_swap_draw, tempering_swap_probability, ExchangeConfig, PortfolioConfig,
+    tempering_swap_draw, tempering_swap_probability, CancelToken, ExchangeConfig, PortfolioConfig,
     PortfolioMode, Schedule,
 };
 use copack::geom::{NetKind, Quadrant, StackConfig};
@@ -158,7 +158,7 @@ proptest! {
             &StackConfig::planar(),
             &fast_config(seed),
             &temper_config(starts, 1.5),
-            &mut buf,
+            &mut buf, &CancelToken::new(),
         )
         .expect("temper portfolio runs");
         prop_assert_eq!(won.pruned(), 0, "tempering never prunes");
@@ -191,7 +191,7 @@ proptest! {
             &StackConfig::planar(),
             &config,
             &portfolio,
-            &mut buf,
+            &mut buf, &CancelToken::new(),
         )
         .expect("temper portfolio runs");
         let swap_fields = |events: &[Event]| -> Vec<SwapRecord> {
@@ -266,7 +266,7 @@ proptest! {
             &StackConfig::planar(),
             &config,
             &portfolio,
-            &mut rerun_buf,
+            &mut rerun_buf, &CancelToken::new(),
         )
         .expect("rerun runs");
         let rerun_events = rerun_buf.into_events();
@@ -294,7 +294,7 @@ proptest! {
                     ladder_ratio,
                     ..temper_config(1, ladder_ratio)
                 },
-                buf,
+                buf, &CancelToken::new(),
             )
             .expect("single-start portfolio runs")
         };
@@ -327,7 +327,7 @@ proptest! {
             &StackConfig::planar(),
             &config,
             &temper_config(starts, 1.0),
-            &mut buf,
+            &mut buf, &CancelToken::new(),
         )
         .expect("flat ladder runs");
         let events = buf.into_events();

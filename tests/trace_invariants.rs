@@ -7,8 +7,8 @@
 //! deterministic merging of per-quadrant traces across thread counts.
 
 use copack::core::{
-    dfa, exchange, exchange_traced, plan_package_traced, Acceptance, Codesign, DeltaIrTracker,
-    ExchangeConfig, Schedule,
+    dfa, exchange, exchange_traced, plan_package_traced, Acceptance, CancelToken, Codesign,
+    DeltaIrTracker, ExchangeConfig, Schedule,
 };
 use copack::gen::circuits;
 use copack::geom::{FingerIdx, NetKind, Package, Quadrant, StackConfig};
@@ -51,7 +51,8 @@ fn recording_does_not_perturb_the_result() {
         let cfg = config(7);
         let plain = exchange(&q, &initial, &stack, &cfg).expect("runs");
         let mut buffer = TraceBuffer::with_rejected();
-        let traced = exchange_traced(&q, &initial, &stack, &cfg, &mut buffer).expect("runs");
+        let traced = exchange_traced(&q, &initial, &stack, &cfg, &mut buffer, &CancelToken::new())
+            .expect("runs");
         assert_eq!(plain, traced, "{}", circuit.name);
         assert_eq!(
             plain.stats.final_cost.to_bits(),
@@ -87,6 +88,7 @@ fn uphill_acceptance_matches_metropolis_statistics() {
             &StackConfig::planar(),
             &config(seed),
             &mut buffer,
+            &CancelToken::new(),
         )
         .expect("runs");
         let events = buffer.into_events();
@@ -146,6 +148,7 @@ fn accepted_moves_replay_to_the_exact_final_cost() {
                 &StackConfig::planar(),
                 &config(seed),
                 &mut buffer,
+                &CancelToken::new(),
             )
             .expect("runs");
             let events = buffer.into_events();
