@@ -10,7 +10,7 @@
 use copack_geom::{Assignment, NetKind, Package, Quadrant, QuadrantSide};
 use copack_obs::{Event, NoopRecorder, Recorder, TraceBuffer};
 use copack_power::{solve_sor_nodes, GridSpec, PadRing};
-use copack_route::{analyze, cutline_congestion, CutlineReport, RoutingReport};
+use copack_route::{analyze_with_map, CutlineReport, FlankLoad, RoutingReport};
 
 use crate::{assign, exchange_traced, CancelToken, Codesign, CoreError, ExchangeResult};
 
@@ -78,6 +78,10 @@ pub fn evaluate_package_ir_traced(
     ))
 }
 
+/// One planned side: its final order, routing report and cut-line flank
+/// loads (both read off the same density map).
+type PlannedSide = (Assignment, RoutingReport, FlankLoad);
+
 /// Anneals and analyses one side; the unit of work the package planner
 /// fans out across threads. The recorder receives the side's exchange
 /// events plus one `RoutingEvaluated` for the post-exchange analysis.
@@ -87,7 +91,7 @@ fn plan_side(
     initial: &Assignment,
     config: &Codesign,
     recorder: &mut dyn Recorder,
-) -> Result<(Assignment, RoutingReport), CoreError> {
+) -> Result<PlannedSide, CoreError> {
     let mut side_config = config.exchange.clone();
     // The derived seed depends only on the side, so the outcome is the
     // same whether the sides run serially or concurrently.
@@ -100,14 +104,14 @@ fn plan_side(
         recorder,
         &CancelToken::new(),
     )?;
-    let report = analyze(quadrant, &assignment, config.density_model)?;
+    let (report, map) = analyze_with_map(quadrant, &assignment, config.density_model)?;
     if recorder.enabled() {
         recorder.record(&Event::RoutingEvaluated {
             max_density: report.max_density,
             total_wirelength: report.total_wirelength,
         });
     }
-    Ok((assignment, report))
+    Ok((assignment, report, FlankLoad::of_map(&map)))
 }
 
 /// Resolves a `threads` setting: `0` means the machine's available
@@ -174,7 +178,7 @@ pub fn plan_package_traced(
 
     let sides: Vec<(QuadrantSide, &Quadrant)> = package.quadrants().collect();
     let workers = effective_threads(config.threads).min(sides.len()).max(1);
-    let mut planned: Vec<Option<Result<(Assignment, RoutingReport), CoreError>>> =
+    let mut planned: Vec<Option<Result<PlannedSide, CoreError>>> =
         (0..sides.len()).map(|_| None).collect();
     // One `(trace, wall seconds)` slot per side, filled by whichever
     // worker plans it, merged below in side order.
@@ -183,7 +187,7 @@ pub fn plan_package_traced(
                     quadrant: &Quadrant,
                     initial: &Assignment,
                     trace_slot: &mut Option<(TraceBuffer, f64)>|
-     -> Result<(Assignment, RoutingReport), CoreError> {
+     -> Result<PlannedSide, CoreError> {
         if rec_on {
             let mut buf = side_buffer();
             let start = std::time::Instant::now();
@@ -240,14 +244,18 @@ pub fn plan_package_traced(
     }
     let mut finals: Vec<Assignment> = Vec::with_capacity(4);
     let mut routing: Vec<RoutingReport> = Vec::with_capacity(4);
-    for result in planned {
-        let (assignment, report) = result.expect("every side planned")?;
+    let mut flanks = [FlankLoad { left: 0, right: 0 }; 4];
+    for (result, flank) in planned.into_iter().zip(&mut flanks) {
+        let (assignment, report, load) = result.expect("every side planned")?;
         finals.push(assignment);
         routing.push(report);
+        *flank = load;
     }
     let finals: [Assignment; 4] = finals.try_into().expect("four quadrants");
     let ir_after = evaluate_package_ir_traced(package, &finals, &config.grid, recorder)?;
-    let cutlines = cutline_congestion(package, &finals, config.density_model)?;
+    // Each side's flank loads came from the density map its routing
+    // report was read from, so no side's map is built twice.
+    let cutlines = CutlineReport::from_flanks(flanks);
 
     let _ = QuadrantSide::ALL; // order contract documented above
     Ok(PackageReport {
@@ -347,6 +355,44 @@ mod tests {
         for threads in [0usize, 2, 3, 4, 16] {
             let parallel = plan_package(&p, &Codesign { threads, ..fast() }).unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn shared_map_reports_equal_the_standalone_analyses() {
+        // `plan_package` reads each side's routing report and flank loads
+        // off one density map; both must equal the standalone `analyze`
+        // and `cutline_congestion` of the same final orders.
+        use copack_route::{analyze, cutline_congestion, DensityModel};
+        let mut packages = vec![package()];
+        for n in [1, 3, 5] {
+            packages.push(Package::uniform(
+                copack_gen::circuit(n).build_quadrant().unwrap(),
+            ));
+        }
+        packages.push(Package::uniform(
+            copack_gen::large_fuzz_case(3, 1).unwrap().quadrant,
+        ));
+        for (i, p) in packages.iter().enumerate() {
+            for model in [DensityModel::Geometric, DensityModel::OrderOnly] {
+                let config = Codesign {
+                    density_model: model,
+                    ..fast()
+                };
+                let report = plan_package(p, &config).unwrap();
+                assert_eq!(
+                    report.cutlines,
+                    cutline_congestion(p, &report.assignments, model).unwrap(),
+                    "package {i} {model}"
+                );
+                for (side, quadrant) in p.quadrants() {
+                    assert_eq!(
+                        report.routing[side.index()],
+                        analyze(quadrant, &report.assignments[side.index()], model).unwrap(),
+                        "package {i} {model} side {side}"
+                    );
+                }
+            }
         }
     }
 

@@ -271,14 +271,20 @@ impl OmegaTracker {
 ///   another power pad (that pad would have been the swap partner), so its
 ///   sorted rank is stable and only its value changes.
 ///
-/// [`DeltaIrTracker::delta_ir`] then sums the squared gap deviations in
+/// [`DeltaIrTracker::delta_ir`] sums the squared gap deviations in
 /// exactly the order `PadSpacingProxy::delta_ir` does (windows left to
 /// right, wrap gap last), so the score is **bit-identical** to the
 /// from-scratch rebuild — the annealer's accept/reject trajectory cannot
-/// diverge. The read is `O(k)` in the power-pad count, which the cost
-/// model treats as `O(1)`: `k` is a small constant fraction of the design
-/// and no allocation or sort happens.
-#[derive(Debug, Clone, PartialEq)]
+/// diverge. The left-to-right window sum is kept as a running prefix:
+/// `prefix[i]` is the sum after the first `i` windows. A pad moving at
+/// rank `r` changes only windows `r − 1` and `r`, so only `prefix[r..]`
+/// goes stale; a swap merely lowers a `dirty_from` mark, and the next
+/// read re-adds the stale tail with the same expression in the same
+/// order (so each entry is bit-identical to a full re-sum) before
+/// returning `prefix[k − 1]` plus the wrap gap. A rejected move's revert
+/// therefore costs nothing until the next read, and a read costs
+/// `O(k − r)` rather than `O(k)` additions.
+#[derive(Debug, Clone)]
 pub struct DeltaIrTracker {
     /// Finger count as `f64`, the coordinate denominator.
     alpha: f64,
@@ -286,6 +292,19 @@ pub struct DeltaIrTracker {
     ts: Vec<f64>,
     /// Rank in `ts` of the power pad occupying each 0-based slot.
     rank_of_slot: Vec<Option<usize>>,
+    /// `prefix[i]`: the sum of the first `i` window terms
+    /// (`prefix[0] == 0.0`); valid below `dirty_from`.
+    prefix: Vec<f64>,
+    /// First stale entry of `prefix` (`prefix.len()` when all are valid).
+    dirty_from: usize,
+}
+
+/// Trackers are equal when they track the same pads; the prefix is a
+/// cache of `ts`, so how much of it is stale does not matter.
+impl PartialEq for DeltaIrTracker {
+    fn eq(&self, other: &Self) -> bool {
+        self.alpha == other.alpha && self.ts == other.ts && self.rank_of_slot == other.rank_of_slot
+    }
 }
 
 impl DeltaIrTracker {
@@ -311,10 +330,13 @@ impl DeltaIrTracker {
             rank_of_slot[slot] = Some(rank);
             ts.push(Self::coordinate(slot, alpha as f64));
         }
+        let k = ts.len();
         Ok(Self {
             alpha: alpha as f64,
             ts,
             rank_of_slot,
+            prefix: vec![0.0; k],
+            dirty_from: 0,
         })
     }
 
@@ -354,12 +376,14 @@ impl DeltaIrTracker {
                 self.rank_of_slot[i] = None;
                 self.rank_of_slot[i + 1] = Some(rank);
                 self.ts[rank] = Self::coordinate(i + 1, self.alpha);
+                self.dirty_from = self.dirty_from.min(rank.max(1));
                 true
             }
             (None, Some(rank)) => {
                 self.rank_of_slot[i + 1] = None;
                 self.rank_of_slot[i] = Some(rank);
                 self.ts[rank] = Self::coordinate(i, self.alpha);
+                self.dirty_from = self.dirty_from.min(rank.max(1));
                 true
             }
         }
@@ -370,19 +394,33 @@ impl DeltaIrTracker {
     /// visited in the proxy's order (sorted windows, then the wrap-around
     /// gap) and summed left to right. Returns `0.0` with no power pads —
     /// callers guard that case like the naive path guards an empty `ts`.
+    ///
+    /// Takes `&mut self` to refresh the stale tail of the running window
+    /// sums first (see the type docs).
     #[must_use]
-    pub fn delta_ir(&self) -> f64 {
+    pub fn delta_ir(&mut self) -> f64 {
         let k = self.ts.len();
         if k == 0 {
             return 0.0;
         }
         let ideal = 1.0 / k as f64;
-        let mut sum = 0.0;
-        for w in self.ts.windows(2) {
-            sum += (w[1] - w[0] - ideal).powi(2);
+        // `prefix[0]` is the empty sum and never goes stale; `prefix[i]`
+        // adds window `i - 1`, i.e. `ts[i] - ts[i - 1]`. The running sum
+        // lives in a local, so the chain of adds never waits on a store
+        // to `prefix` being read back.
+        let from = self.dirty_from.max(1);
+        if from < k {
+            let mut sum = self.prefix[from - 1];
+            for (slot, w) in self.prefix[from..]
+                .iter_mut()
+                .zip(self.ts[from - 1..].windows(2))
+            {
+                sum += (w[1] - w[0] - ideal).powi(2);
+                *slot = sum;
+            }
         }
-        sum += (1.0 - self.ts[k - 1] + self.ts[0] - ideal).powi(2);
-        sum
+        self.dirty_from = k;
+        self.prefix[k - 1] + (1.0 - self.ts[k - 1] + self.ts[0] - ideal).powi(2)
     }
 }
 
@@ -446,6 +484,23 @@ mod tests {
             omega_t.apply_adjacent_swap(FingerIdx::new(p));
             ir.apply_adjacent_swap(FingerIdx::new(p));
             a.swap(FingerIdx::new(p), FingerIdx::new(p + 1)).unwrap();
+            if step % 3 == 0 {
+                // Revert (the nets' sides are now exchanged), check, and
+                // re-apply: the annealer's reject path followed by a retry.
+                sections.apply_adjacent_swap(right, left);
+                omega_t.apply_adjacent_swap(FingerIdx::new(p));
+                ir.apply_adjacent_swap(FingerIdx::new(p));
+                a.swap(FingerIdx::new(p), FingerIdx::new(p + 1)).unwrap();
+                assert_eq!(
+                    ir.delta_ir().to_bits(),
+                    delta_ir_from_scratch(&q, &a).to_bits(),
+                    "step {step} reverted"
+                );
+                sections.apply_adjacent_swap(left, right);
+                omega_t.apply_adjacent_swap(FingerIdx::new(p));
+                ir.apply_adjacent_swap(FingerIdx::new(p));
+                a.swap(FingerIdx::new(p), FingerIdx::new(p + 1)).unwrap();
+            }
 
             let expected_id = baseline.increased_density(&q, &a).unwrap();
             assert_eq!(sections.increased_density(), expected_id, "step {step}");
@@ -453,8 +508,114 @@ mod tests {
             assert_eq!(omega_t.omega(), expected_omega, "step {step}");
             // Bit-identical, not approximately equal: the annealer's
             // accept/reject decisions hinge on exact cost comparisons.
-            assert_eq!(ir.delta_ir(), delta_ir_from_scratch(&q, &a), "step {step}");
+            assert_eq!(
+                ir.delta_ir().to_bits(),
+                delta_ir_from_scratch(&q, &a).to_bits(),
+                "step {step}"
+            );
         }
+    }
+
+    /// Slot (1-based) of the power pad at the lowest or highest rank.
+    fn extreme_pad_slot(q: &Quadrant, a: &Assignment, highest: bool) -> Option<u32> {
+        let slots = q
+            .nets_of_kind(copack_geom::NetKind::Power)
+            .filter_map(|n| a.position_of(n))
+            .map(FingerIdx::get);
+        if highest {
+            slots.max()
+        } else {
+            slots.min()
+        }
+    }
+
+    /// Walks a [`DeltaIrTracker`] the way the annealer drives it: each
+    /// step applies a swap and then either keeps it, reverts it, or
+    /// reverts and re-applies it, reading the score at random points in
+    /// between (so stale marks from several swaps stack up before a
+    /// read). One step in three moves the lowest- or highest-rank pad,
+    /// the two that also change the wrap-around gap. Every read must
+    /// equal the proxy rebuilt from scratch, bit for bit.
+    fn walk_delta_ir(q: &Quadrant, initial: &Assignment, seed: u64, steps: usize) {
+        let alpha = u32::try_from(initial.finger_count()).unwrap();
+        assert!(alpha >= 2, "a walk needs two slots");
+        let mut ir = DeltaIrTracker::new(q, initial).unwrap();
+        let mut a = initial.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let check = |ir: &mut DeltaIrTracker, a: &Assignment, step: usize| {
+            assert_eq!(
+                ir.delta_ir().to_bits(),
+                delta_ir_from_scratch(q, a).to_bits(),
+                "step {step}"
+            );
+        };
+        check(&mut ir, &a, 0);
+        for step in 0..steps {
+            let forced = match rng.gen_range(0..6) {
+                0 => extreme_pad_slot(q, &a, false),
+                1 => extreme_pad_slot(q, &a, true),
+                _ => None,
+            };
+            // The left slot of the swap: the forced pad moves left when
+            // it can, right otherwise.
+            let p = match forced {
+                Some(slot) if slot > 1 && rng.gen_bool(0.5) => slot - 1,
+                Some(slot) if slot < alpha => slot,
+                Some(slot) => slot - 1,
+                None => rng.gen_range(1..alpha),
+            };
+            let swap = |ir: &mut DeltaIrTracker, a: &mut Assignment| {
+                ir.apply_adjacent_swap(FingerIdx::new(p));
+                a.swap(FingerIdx::new(p), FingerIdx::new(p + 1)).unwrap();
+            };
+            swap(&mut ir, &mut a);
+            if rng.gen_bool(0.5) {
+                check(&mut ir, &a, step);
+            }
+            match rng.gen_range(0..3) {
+                0 => {}
+                1 => swap(&mut ir, &mut a),
+                _ => {
+                    swap(&mut ir, &mut a);
+                    if rng.gen_bool(0.5) {
+                        check(&mut ir, &a, step);
+                    }
+                    swap(&mut ir, &mut a);
+                }
+            }
+            if rng.gen_bool(0.7) {
+                check(&mut ir, &a, step);
+            }
+        }
+        check(&mut ir, &a, steps);
+    }
+
+    #[test]
+    fn delta_ir_tracker_matches_the_proxy_over_apply_revert_walks() {
+        let q = quadrant();
+        walk_delta_ir(&q, &dfa(&q, 1).unwrap(), 3, 2_000);
+    }
+
+    #[test]
+    fn delta_ir_tracker_matches_the_proxy_with_a_single_pad() {
+        // One pad: every move is at rank 0 = rank k − 1, and the only gap
+        // is the wrap-around one.
+        let q = Quadrant::builder()
+            .row([1u32, 2, 3, 4])
+            .row([5u32, 6, 7])
+            .net_kind(6u32, copack_geom::NetKind::Power)
+            .fingers(9)
+            .build()
+            .unwrap();
+        walk_delta_ir(&q, &dfa(&q, 1).unwrap(), 11, 1_000);
+    }
+
+    #[test]
+    fn delta_ir_tracker_matches_the_proxy_on_a_large_fuzz_quadrant() {
+        let case = copack_gen::large_fuzz_case(5, 0).unwrap();
+        let q = case.quadrant;
+        assert!(q.nets_of_kind(copack_geom::NetKind::Power).count() > 2);
+        walk_delta_ir(&q, &dfa(&q, 1).unwrap(), 17, 5_000);
     }
 
     #[test]
@@ -485,7 +646,7 @@ mod tests {
     fn delta_ir_tracker_matches_proxy_at_construction() {
         let q = quadrant();
         let a = dfa(&q, 1).unwrap();
-        let ir = DeltaIrTracker::new(&q, &a).unwrap();
+        let mut ir = DeltaIrTracker::new(&q, &a).unwrap();
         assert_eq!(ir.power_pad_count(), 3);
         assert_eq!(ir.delta_ir(), delta_ir_from_scratch(&q, &a));
     }
@@ -494,7 +655,7 @@ mod tests {
     fn delta_ir_tracker_handles_powerless_quadrants() {
         let q = Quadrant::builder().row([1u32, 2]).build().unwrap();
         let a = Assignment::from_order([1u32, 2]);
-        let ir = DeltaIrTracker::new(&q, &a).unwrap();
+        let mut ir = DeltaIrTracker::new(&q, &a).unwrap();
         assert_eq!(ir.power_pad_count(), 0);
         assert_eq!(ir.delta_ir(), 0.0);
     }

@@ -2,7 +2,7 @@
 
 use copack_geom::{Assignment, FingerIdx, NetId, Quadrant, RowIdx};
 
-use crate::{check_monotonic, RouteError, ViaPlan};
+use crate::{check_monotonic, RouteError, ViaPlan, ViaRef};
 
 /// One wire crossing a horizontal grid line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,6 +47,154 @@ impl LineCrossings {
 /// wires strictly inside their span so segment attribution is unambiguous.
 const EPS_FRACTION: f64 = 1e-3;
 
+/// One finger's wire, resolved once per sweep.
+#[derive(Debug, Clone, Copy)]
+struct FingerWire {
+    finger: FingerIdx,
+    net: NetId,
+    via: ViaRef,
+    /// x-coordinate of the finger centre.
+    fx: f64,
+}
+
+/// The per-assignment state every line of the crossing model shares: the
+/// legality check has passed and each finger's (net, via, x) is resolved
+/// once, in finger order, so a line costs one pass over the fingers with no
+/// keyed lookups.
+pub(crate) struct CrossingSweep<'a> {
+    quadrant: &'a Quadrant,
+    assignment: &'a Assignment,
+    plan: &'a ViaPlan,
+    /// Every placed finger, in finger order.
+    wires: Vec<FingerWire>,
+    finger_y: f64,
+    /// Horizontal extent used when a wire has no bracketing via on one side.
+    bound: f64,
+    eps: f64,
+}
+
+impl<'a> CrossingSweep<'a> {
+    /// Checks legality and resolves every finger's wire.
+    ///
+    /// # Errors
+    ///
+    /// * [`RouteError::NonMonotonic`] / [`RouteError::Unplaced`] from the
+    ///   legality pre-check.
+    /// * [`RouteError::Unplaced`] for the first net, in finger order,
+    ///   that is missing from `plan`.
+    pub(crate) fn new(
+        quadrant: &'a Quadrant,
+        assignment: &'a Assignment,
+        plan: &'a ViaPlan,
+    ) -> Result<Self, RouteError> {
+        check_monotonic(quadrant, assignment)?;
+
+        let pitch = quadrant.geometry().ball_pitch;
+        let mut half_w: f64 = 0.0;
+        for (row, nets) in quadrant.rows_bottom_up() {
+            let m = nets.len() as u32;
+            half_w = half_w.max(quadrant.via_site_x(row, m + 1).abs());
+            half_w = half_w.max(quadrant.via_site_x(row, 1).abs());
+        }
+        let alpha = quadrant.finger_count() as u32;
+        half_w = half_w.max(quadrant.finger_center(FingerIdx::new(alpha)).x.abs());
+
+        let wires = assignment
+            .iter()
+            .map(|(finger, net)| {
+                Ok(FingerWire {
+                    finger,
+                    net,
+                    via: plan.via(net)?,
+                    fx: quadrant.finger_center(finger).x,
+                })
+            })
+            .collect::<Result<_, RouteError>>()?;
+        Ok(Self {
+            quadrant,
+            assignment,
+            plan,
+            wires,
+            finger_y: quadrant.finger_line_y(),
+            bound: half_w + pitch,
+            eps: pitch * EPS_FRACTION,
+        })
+    }
+
+    /// The crossings of every line, highest first, built one line at a
+    /// time. A line fails with [`RouteError::Unplaced`] if a net of its
+    /// row is missing from the plan or the assignment.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = Result<LineCrossings, RouteError>> + '_ {
+        self.quadrant
+            .rows_top_down()
+            .map(move |(row, nets)| self.line(row, nets))
+    }
+
+    /// The crossings of `row`'s line, whose balls carry `nets`.
+    fn line(&self, row: RowIdx, nets: &[NetId]) -> Result<LineCrossings, RouteError> {
+        let quadrant = self.quadrant;
+        let line_y = quadrant.line_y(row);
+        let m = nets.len() as u32;
+        let site_xs: Vec<f64> = (1..=m + 1).map(|s| quadrant.via_site_x(row, s)).collect();
+
+        // Terminating nets, in ball order (= finger order by legality).
+        let mut terminating = Vec::with_capacity(nets.len());
+        let mut term_fingers = Vec::with_capacity(nets.len());
+        for &net in nets {
+            let via = self.plan.via(net)?;
+            let p = self
+                .assignment
+                .position_of(net)
+                .ok_or(RouteError::Unplaced { net })?;
+            terminating.push((net, via.pos.x));
+            term_fingers.push(p.get());
+        }
+
+        // Crossing nets: via strictly below this line, in finger order.
+        // Their fingers increase and `term_fingers` is sorted, so one
+        // forward pointer tracks how many terminating vias lie left of
+        // the current finger; those bracketing it are its neighbours.
+        let mut crossings = Vec::new();
+        let mut left_of = 0;
+        for w in &self.wires {
+            if w.via.row >= row {
+                continue;
+            }
+            let (vx, vy) = (w.via.pos.x, w.via.pos.y);
+            // Straight flyline finger → via, evaluated at this line.
+            let t = (self.finger_y - line_y) / (self.finger_y - vy);
+            let ideal = w.fx + (vx - w.fx) * t;
+            // Forced span: between the terminating vias bracketing the
+            // finger position.
+            let p = w.finger.get();
+            while left_of < term_fingers.len() && term_fingers[left_of] < p {
+                left_of += 1;
+            }
+            let lo = if left_of == 0 {
+                -self.bound
+            } else {
+                terminating[left_of - 1].1
+            };
+            let hi = terminating.get(left_of).map_or(self.bound, |&(_, vx)| vx);
+            let x = ideal.clamp(lo + self.eps, hi - self.eps);
+            crossings.push(Crossing {
+                net: w.net,
+                finger: w.finger,
+                x,
+                span: (lo, hi),
+            });
+        }
+
+        Ok(LineCrossings {
+            row,
+            line_y,
+            site_xs,
+            terminating,
+            crossings,
+        })
+    }
+}
+
 /// Computes the crossings of every horizontal line of the quadrant, highest
 /// line first.
 ///
@@ -61,88 +209,9 @@ pub fn line_crossings(
     assignment: &Assignment,
     plan: &ViaPlan,
 ) -> Result<Vec<LineCrossings>, RouteError> {
-    check_monotonic(quadrant, assignment)?;
-
-    // Horizontal extent used when a wire has no bracketing via on one side.
-    let pitch = quadrant.geometry().ball_pitch;
-    let eps = pitch * EPS_FRACTION;
-    let mut half_w: f64 = 0.0;
-    for (row, nets) in quadrant.rows_bottom_up() {
-        let m = nets.len() as u32;
-        half_w = half_w.max(quadrant.via_site_x(row, m + 1).abs());
-        half_w = half_w.max(quadrant.via_site_x(row, 1).abs());
-    }
-    let alpha = quadrant.finger_count() as u32;
-    half_w = half_w.max(quadrant.finger_center(FingerIdx::new(alpha)).x.abs());
-    let bound = half_w + pitch;
-
-    let finger_y = quadrant.finger_line_y();
-    let mut out = Vec::with_capacity(quadrant.row_count());
-    for (row, nets) in quadrant.rows_top_down() {
-        let line_y = quadrant.line_y(row);
-        let m = nets.len() as u32;
-        let site_xs: Vec<f64> = (1..=m + 1).map(|s| quadrant.via_site_x(row, s)).collect();
-
-        // Terminating nets, in ball order (= finger order by legality).
-        let terminating: Vec<(NetId, f64)> = nets
-            .iter()
-            .map(|&n| {
-                let via = plan.via(n)?;
-                Ok((n, via.pos.x))
-            })
-            .collect::<Result<_, RouteError>>()?;
-        let term_pos: Vec<(u32, f64)> = terminating
-            .iter()
-            .map(|&(n, vx)| {
-                let p = assignment
-                    .position_of(n)
-                    .ok_or(RouteError::Unplaced { net: n })?;
-                Ok((p.get(), vx))
-            })
-            .collect::<Result<_, RouteError>>()?;
-
-        // Crossing nets: via strictly below this line, in finger order.
-        let mut crossings = Vec::new();
-        for (finger, net) in assignment.iter() {
-            let via = plan.via(net)?;
-            if via.row >= row {
-                continue;
-            }
-            let fx = quadrant.finger_center(finger).x;
-            let (vx, vy) = (via.pos.x, via.pos.y);
-            // Straight flyline finger → via, evaluated at this line.
-            let t = (finger_y - line_y) / (finger_y - vy);
-            let ideal = fx + (vx - fx) * t;
-            // Forced span: between the terminating vias bracketing the
-            // finger position.
-            let p = finger.get();
-            let lo = term_pos
-                .iter()
-                .rev()
-                .find(|&&(tp, _)| tp < p)
-                .map_or(-bound, |&(_, vx)| vx);
-            let hi = term_pos
-                .iter()
-                .find(|&&(tp, _)| tp > p)
-                .map_or(bound, |&(_, vx)| vx);
-            let x = ideal.clamp(lo + eps, hi - eps);
-            crossings.push(Crossing {
-                net,
-                finger,
-                x,
-                span: (lo, hi),
-            });
-        }
-
-        out.push(LineCrossings {
-            row,
-            line_y,
-            site_xs,
-            terminating,
-            crossings,
-        });
-    }
-    Ok(out)
+    CrossingSweep::new(quadrant, assignment, plan)?
+        .lines()
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@ use std::fmt;
 use copack_geom::{Assignment, Quadrant, RowIdx};
 use serde::{Deserialize, Serialize};
 
-use crate::{line_crossings, via_plan, RouteError};
+use crate::crossing::CrossingSweep;
+use crate::{via_plan, RouteError};
 
 /// How crossing wires are attributed to segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -128,6 +129,9 @@ pub fn density_map(
 /// [`density_map`] under an explicit via plan (see
 /// [`crate::via_plan_with`]).
 ///
+/// Lines are counted as the crossing sweep builds them, so only the
+/// current line's crossings are held at a time.
+///
 /// # Errors
 ///
 /// As [`density_map`].
@@ -137,11 +141,11 @@ pub fn density_map_with_plan(
     model: DensityModel,
     plan: &crate::ViaPlan,
 ) -> Result<DensityMap, RouteError> {
-    let lines = line_crossings(quadrant, assignment, plan)?;
-    let mut rows = Vec::with_capacity(lines.len());
-    for line in &lines {
+    let mut rows = Vec::with_capacity(quadrant.row_count());
+    for line in CrossingSweep::new(quadrant, assignment, plan)?.lines() {
+        let line = line?;
         let boundaries: Vec<f64> = match model {
-            DensityModel::Geometric => line.site_xs.clone(),
+            DensityModel::Geometric => line.site_xs,
             DensityModel::OrderOnly => line.terminating.iter().map(|&(_, vx)| vx).collect(),
         };
         let mut counts = vec![0u32; boundaries.len() + 1];

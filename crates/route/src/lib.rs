@@ -71,6 +71,8 @@ mod estimator;
 mod monotonic;
 mod path;
 mod range_cache;
+#[cfg(test)]
+mod reference;
 mod report;
 mod via_assign;
 mod wirelength;
@@ -85,6 +87,6 @@ pub use estimator::{estimate_congestion, CongestionEstimate};
 pub use monotonic::{check_monotonic, exchange_range, is_monotonic};
 pub use path::{extract_paths, NetPath};
 pub use range_cache::RangeCache;
-pub use report::{analyze, RoutingReport};
+pub use report::{analyze, analyze_with_map, RoutingReport};
 pub use via_assign::{via_plan, via_plan_with, ViaPlan, ViaRef, ViaRule};
 pub use wirelength::{net_wirelength, total_wirelength};

@@ -5,7 +5,8 @@ use std::fmt;
 use copack_geom::{Assignment, Quadrant};
 use serde::{Deserialize, Serialize};
 
-use crate::{check_monotonic, density_map, total_wirelength, DensityModel, RouteError};
+use crate::wirelength::total_wirelength_with_plan;
+use crate::{density_map_with_plan, via_plan, DensityMap, DensityModel, RouteError};
 
 /// Summary of a routed (analysed) assignment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,10 +51,27 @@ pub fn analyze(
     assignment: &Assignment,
     model: DensityModel,
 ) -> Result<RoutingReport, RouteError> {
-    check_monotonic(quadrant, assignment)?;
-    let density = density_map(quadrant, assignment, model)?;
-    let wirelength = total_wirelength(quadrant, assignment)?;
-    Ok(RoutingReport {
+    analyze_with_map(quadrant, assignment, model).map(|(report, _)| report)
+}
+
+/// [`analyze`], also returning the density map the report summarises, so
+/// callers that need more of it (such as the cut-line flank loads, see
+/// [`crate::FlankLoad::of_map`]) do not build it again. The legality check
+/// runs and the via plan is built once for both the map and the
+/// wirelength.
+///
+/// # Errors
+///
+/// As [`analyze`].
+pub fn analyze_with_map(
+    quadrant: &Quadrant,
+    assignment: &Assignment,
+    model: DensityModel,
+) -> Result<(RoutingReport, DensityMap), RouteError> {
+    let plan = via_plan(quadrant);
+    let density = density_map_with_plan(quadrant, assignment, model, &plan)?;
+    let wirelength = total_wirelength_with_plan(quadrant, assignment, &plan)?;
+    let report = RoutingReport {
         max_density: density.max_density(),
         max_density_interior: density.max_density_interior(),
         max_density_row: density.max_density_row().map_or(0, |r| r.get()),
@@ -65,12 +83,14 @@ pub fn analyze(
         total_wirelength: wirelength,
         nets: assignment.net_count(),
         model,
-    })
+    };
+    Ok((report, density))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::total_wirelength;
     use copack_geom::{Assignment, Quadrant};
 
     fn fig5() -> Quadrant {

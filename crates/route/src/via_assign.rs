@@ -1,8 +1,6 @@
 //! Via assignment: one via per net, fixed at the bottom-left of its ball.
 
-use std::collections::BTreeMap;
-
-use copack_geom::{NetId, Point, Quadrant, RowIdx};
+use copack_geom::{NetId, NetIndex, Point, Quadrant, RowIdx};
 use serde::{Deserialize, Serialize};
 
 use crate::RouteError;
@@ -42,9 +40,14 @@ pub struct ViaRef {
 ///
 /// The plan depends only on the quadrant, not on the finger assignment, so
 /// it can be computed once and reused across candidate assignments.
+///
+/// Vias are stored densely by the quadrant's [`NetIndex`] position, which
+/// is ascending net-id order, so a lookup is one array load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViaPlan {
-    vias: BTreeMap<NetId, ViaRef>,
+    index: NetIndex,
+    /// Dense by `index` position.
+    vias: Vec<ViaRef>,
 }
 
 impl ViaPlan {
@@ -54,15 +57,15 @@ impl ViaPlan {
     ///
     /// Returns [`RouteError::Unplaced`] if the net is not in the plan.
     pub fn via(&self, net: NetId) -> Result<ViaRef, RouteError> {
-        self.vias
-            .get(&net)
-            .copied()
+        self.index
+            .get(net)
+            .map(|i| self.vias[i])
             .ok_or(RouteError::Unplaced { net })
     }
 
     /// Iterates all vias in net-id order.
     pub fn iter(&self) -> impl Iterator<Item = &ViaRef> {
-        self.vias.values()
+        self.vias.iter()
     }
 
     /// Number of vias (= number of nets).
@@ -87,25 +90,27 @@ pub fn via_plan(quadrant: &Quadrant) -> ViaPlan {
 /// Computes the via plan under an explicit [`ViaRule`].
 #[must_use]
 pub fn via_plan_with(quadrant: &Quadrant, rule: ViaRule) -> ViaPlan {
-    let mut vias = BTreeMap::new();
-    for (row, nets) in quadrant.rows_bottom_up() {
-        for (j, &net) in nets.iter().enumerate() {
+    let index = quadrant.net_index().clone();
+    let vias = (0..index.len())
+        .map(|i| {
+            let net = index.id(i);
+            let ball = quadrant.ball_at_index(i);
             let site = match rule {
-                ViaRule::BottomLeft => j as u32 + 1,
-                ViaRule::BottomRight => j as u32 + 2,
+                ViaRule::BottomLeft => ball.col,
+                ViaRule::BottomRight => ball.col + 1,
             };
-            vias.insert(
+            ViaRef {
                 net,
-                ViaRef {
-                    net,
-                    row,
-                    site,
-                    pos: Point::new(quadrant.via_site_x(row, site), quadrant.line_y(row)),
-                },
-            );
-        }
-    }
-    ViaPlan { vias }
+                row: ball.row,
+                site,
+                pos: Point::new(
+                    quadrant.via_site_x(ball.row, site),
+                    quadrant.line_y(ball.row),
+                ),
+            }
+        })
+        .collect();
+    ViaPlan { index, vias }
 }
 
 #[cfg(test)]

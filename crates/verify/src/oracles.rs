@@ -16,7 +16,7 @@ use copack_core::{
 use copack_geom::{Assignment, FingerIdx, NetKind, Package, Quadrant, StackConfig};
 use copack_io::{write_tune, ClassConfig};
 use copack_obs::{Event, Recorder, TraceBuffer};
-use copack_power::{solve_cg, solve_dense, solve_sor, GridSpec, PadRing};
+use copack_power::{solve_cg, solve_dense, solve_sor, GridSpec, PadRing, PadSpacingProxy};
 use copack_route::{exchange_range, is_monotonic, RangeCache};
 use copack_tune::{tune, TrialSpace, TuneError, TuneOptions};
 
@@ -253,17 +253,28 @@ pub fn check_density_conservation(quadrant: &Quadrant, config: &VerifyConfig) ->
             ),
         );
     }
-    let scratch_ir = match DeltaIrTracker::new(quadrant, &replay) {
-        Ok(t) => t.delta_ir(),
-        Err(e) => return OracleReport::fail(NAME, format!("scratch Δ_IR failed: {e}")),
+    // The from-scratch Δ_IR is the proxy rebuilt from the replayed
+    // positions, exactly as `exchange_reference` scores an order — not a
+    // fresh tracker, which would share the code under test.
+    let alpha = replay.finger_count() as f64;
+    let ts: Vec<f64> = quadrant
+        .nets_of_kind(NetKind::Power)
+        .filter_map(|n| replay.position_of(n))
+        .map(|f| (f.get() as f64 - 0.5) / alpha)
+        .collect();
+    let scratch_ir = if ts.is_empty() {
+        0.0
+    } else {
+        match PadSpacingProxy::new(&ts) {
+            Ok(p) => p.delta_ir(),
+            Err(e) => return OracleReport::fail(NAME, format!("scratch Δ_IR failed: {e}")),
+        }
     };
-    if ir.delta_ir().to_bits() != scratch_ir.to_bits() {
+    let incremental_ir = ir.delta_ir();
+    if incremental_ir.to_bits() != scratch_ir.to_bits() {
         return OracleReport::fail(
             NAME,
-            format!(
-                "incremental Δ_IR {:e} != from-scratch Δ_IR {scratch_ir:e}",
-                ir.delta_ir()
-            ),
+            format!("incremental Δ_IR {incremental_ir:e} != from-scratch Δ_IR {scratch_ir:e}"),
         );
     }
 

@@ -64,3 +64,36 @@ fn check_verdict_tables_are_bit_identical_to_the_golden() {
     }
     assert_eq!(out, golden("check.txt"));
 }
+
+/// A whole-package plan at scale is pinned too: the goldens above cover
+/// only the paper-sized circuits, and the CI large smoke compares thread
+/// counts with each other, so an anneal trajectory or routing change that
+/// only shows on large instances would pass both. Generated with
+/// `copack gen --family large --size 1k --seed 7 --out l.circuit` then
+/// `copack plan l.circuit --package --threads 1 > large1k-package.txt`;
+/// regenerate the same way if an intentional model change lands.
+#[test]
+fn large_package_plan_is_bit_identical_to_the_golden() {
+    use std::process::Command;
+    let bin = env!("CARGO_BIN_EXE_copack");
+    let dir = std::env::temp_dir().join(format!("copack_golden_large_{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let circuit = dir.join("l.circuit");
+    let circuit = circuit.to_str().unwrap();
+    let gen = Command::new(bin)
+        .args(["gen", "--family", "large", "--size", "1k", "--seed", "7"])
+        .args(["--out", circuit])
+        .output()
+        .unwrap();
+    assert!(gen.status.success(), "{gen:?}");
+    let plan = Command::new(bin)
+        .args(["plan", circuit, "--package", "--threads", "1"])
+        .output()
+        .unwrap();
+    let _ = fs::remove_dir_all(&dir);
+    assert!(plan.status.success(), "{plan:?}");
+    assert_eq!(
+        String::from_utf8(plan.stdout).unwrap(),
+        golden("large1k-package.txt")
+    );
+}
