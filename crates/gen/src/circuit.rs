@@ -72,11 +72,7 @@ impl Circuit {
     ///
     /// Returns [`GeomError::InvalidStack`] for a zero tier count.
     pub fn stack(&self) -> Result<StackConfig, GeomError> {
-        if self.tiers <= 1 {
-            Ok(StackConfig::planar())
-        } else {
-            StackConfig::stacked(self.tiers)
-        }
+        StackConfig::for_tiers(self.tiers)
     }
 
     /// Returns a copy configured as a ψ-tier stacking IC (same netlist,

@@ -76,11 +76,7 @@ impl LargeSpec {
     ///
     /// Returns [`GeomError::InvalidStack`] for a zero tier count.
     pub fn stack(&self) -> Result<StackConfig, GeomError> {
-        if self.tiers <= 1 {
-            Ok(StackConfig::planar())
-        } else {
-            StackConfig::stacked(self.tiers)
-        }
+        StackConfig::for_tiers(self.tiers)
     }
 
     /// Builds one quadrant, deterministically in [`LargeSpec::seed`].

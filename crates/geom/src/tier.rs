@@ -106,6 +106,23 @@ impl StackConfig {
         })
     }
 
+    /// The stack for a ψ-tier design: [`StackConfig::planar`] for ψ = 1
+    /// and [`StackConfig::stacked`] otherwise. This is the one place a
+    /// tier count becomes a stack. ψ = 1 maps to `planar()`, not to
+    /// `stacked(1)`, whose geometry differs (20 µm tier drop and 50 µm
+    /// shrink on its single tier).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GeomError::InvalidStack`] if `tiers` is zero or exceeds 64.
+    pub fn for_tiers(tiers: u8) -> Result<Self, GeomError> {
+        if tiers == 1 {
+            Ok(Self::planar())
+        } else {
+            Self::stacked(tiers)
+        }
+    }
+
     /// Whether this is a stacking (multi-tier) design, the paper's ψ ≥ 2.
     #[must_use]
     pub fn is_stacking(&self) -> bool {
@@ -170,6 +187,21 @@ mod tests {
         let s = StackConfig::planar();
         assert_eq!(s.tiers, 1);
         assert!(!s.is_stacking());
+    }
+
+    #[test]
+    fn for_tiers_is_planar_at_one_tier_and_rejects_zero() {
+        assert!(StackConfig::for_tiers(0).is_err());
+        assert!(StackConfig::for_tiers(65).is_err());
+        assert_eq!(StackConfig::for_tiers(1).unwrap(), StackConfig::planar());
+        assert_ne!(
+            StackConfig::for_tiers(1).unwrap(),
+            StackConfig::stacked(1).unwrap()
+        );
+        assert_eq!(
+            StackConfig::for_tiers(4).unwrap(),
+            StackConfig::stacked(4).unwrap()
+        );
     }
 
     #[test]

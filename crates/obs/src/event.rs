@@ -365,7 +365,9 @@ fn json_f64(out: &mut String, v: f64) {
     }
 }
 
-fn json_str(out: &mut String, s: &str) {
+/// Appends `s` JSON-escaped, with surrounding quotes, to `out`. Trace
+/// lines and the daemon's wire frames both escape strings with it.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -560,11 +562,11 @@ impl Event {
                 seconds,
             } => {
                 out.push_str(",\"cache\":");
-                json_str(out, cache);
+                write_json_str(out, cache);
                 out.push_str(",\"outcome\":");
-                json_str(out, outcome);
+                write_json_str(out, outcome);
                 out.push_str(",\"class\":");
-                json_str(out, class);
+                write_json_str(out, class);
                 let _ = write!(out, ",\"queue_depth\":{queue_depth},\"seconds\":");
                 json_f64(out, *seconds);
             }
@@ -668,15 +670,15 @@ impl Event {
             }
             Self::QuadrantReused { name, tier } => {
                 out.push_str(",\"name\":");
-                json_str(out, name);
+                write_json_str(out, name);
                 out.push_str(",\"tier\":");
-                json_str(out, tier);
+                write_json_str(out, tier);
             }
             Self::QuadrantWarmed { name, source } => {
                 out.push_str(",\"name\":");
-                json_str(out, name);
+                write_json_str(out, name);
                 out.push_str(",\"source\":");
-                json_str(out, source);
+                write_json_str(out, source);
             }
             Self::OracleChecked {
                 oracle,
@@ -684,13 +686,13 @@ impl Event {
                 detail,
             } => {
                 out.push_str(",\"oracle\":");
-                json_str(out, oracle);
+                write_json_str(out, oracle);
                 let _ = write!(out, ",\"passed\":{passed},\"detail\":");
-                json_str(out, detail);
+                write_json_str(out, detail);
             }
             Self::Note { text } => {
                 out.push_str(",\"text\":");
-                json_str(out, text);
+                write_json_str(out, text);
             }
         }
         out.push('}');

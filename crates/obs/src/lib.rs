@@ -34,7 +34,7 @@ mod signals;
 mod summary;
 
 pub use buffer::TraceBuffer;
-pub use event::{Event, Solver};
+pub use event::{write_json_str, Event, Solver};
 pub use jsonl::{JsonlSink, ObsError};
 pub use recorder::{FanoutRecorder, NoopRecorder, Recorder};
 pub use signals::{early_signals, EarlySignals};

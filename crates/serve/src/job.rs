@@ -1,16 +1,18 @@
 //! Job specification, content-addressed cache keys, and the shared
 //! executor.
 //!
-//! [`execute_job`] is the single code path behind both the daemon's
-//! worker pool and the CLI's one-shot `copack plan`: it mirrors that
-//! command's non-package flow exactly (same methods, same default
-//! exchange configuration, same report lines, same assignment-file
-//! serialization), so a plan served from the daemon is byte-identical
-//! to one produced locally. The cache key ([`cache_key`]) hashes the
-//! *canonical* circuit text plus every spec field that influences the
-//! result — and nothing else, so cosmetic differences (file name,
-//! comments, row-order quirks) and execution-only knobs (timeouts)
-//! coalesce onto one entry.
+//! [`execute_job_full`] is the single code path behind both the daemon's
+//! worker pool and the CLI's non-package `copack plan`: the same
+//! methods, the same exchange and portfolio configuration
+//! ([`JobSpec::anneal_configs`]), the same report lines and the same
+//! assignment-file serialization, so a plan served from the daemon is
+//! byte-identical to one produced locally. What `plan` adds around it
+//! is CLI-only: the `tuned profile applied (class …)` line, the `--out`
+//! and `--svg` files and the telemetry block. The cache key
+//! ([`cache_key`]) hashes the *canonical* circuit text plus every spec
+//! field that influences the result — and nothing else, so cosmetic
+//! differences (file name, comments, row-order quirks) and
+//! execution-only knobs (timeouts) coalesce onto one entry.
 
 use copack_core::{
     assign, exchange_portfolio_traced, exchange_traced, exchange_warm, replay_journal,
@@ -19,10 +21,10 @@ use copack_core::{
 use copack_geom::{Assignment, Quadrant, StackConfig};
 use copack_io::{
     canonical_portfolio_mode_params, canonical_portfolio_params, canonical_quadrant_text,
-    classify_quadrant, fnv1a64, parse_assignment, write_assignment, TuneProfile,
+    classify_quadrant, fnv1a64, parse_assignment, write_assignment, ClassConfig, TuneProfile,
 };
-use copack_obs::NoopRecorder;
-use copack_route::{analyze, DensityModel};
+use copack_obs::{Event, NoopRecorder, Recorder};
+use copack_route::{analyze, DensityModel, RoutingReport};
 use std::fmt::Write as _;
 
 use crate::error::{ErrorKind, ServeError};
@@ -163,6 +165,36 @@ impl JobSpec {
             class: JobClass::Interactive,
         }
     }
+
+    /// The exchange and portfolio configuration the spec plans under:
+    /// the defaults with the spec's seed, margin weight and portfolio
+    /// knobs, then `tuned` written over its tunable fields. `tuned`
+    /// never touches the seed or the worker `threads`.
+    #[must_use]
+    pub fn anneal_configs(
+        &self,
+        tuned: Option<&ClassConfig>,
+        threads: usize,
+    ) -> (ExchangeConfig, PortfolioConfig) {
+        let mut config = ExchangeConfig {
+            seed: self.exchange_seed,
+            ..ExchangeConfig::default()
+        };
+        config.weights.margin = f64::from_bits(self.margin_bits);
+        let mut portfolio = PortfolioConfig {
+            starts: self.starts,
+            prune_margin: f64::from_bits(self.prune_margin_bits),
+            threads,
+            mode: self.mode,
+            kick_size: self.kick_size,
+            ladder_ratio: f64::from_bits(self.ladder_ratio_bits),
+            ..PortfolioConfig::default()
+        };
+        if let Some(tuned) = tuned {
+            tuned.apply(&mut config, &mut portfolio);
+        }
+        (config, portfolio)
+    }
 }
 
 /// The result of a completed job — exactly what `copack plan` would
@@ -281,10 +313,10 @@ pub struct JournalRecord {
 }
 
 /// [`execute_job_full`]'s result: the output plus executor telemetry
-/// the daemon uses (the CLI wrapper discards it).
+/// the daemon uses ([`execute_job`] discards it).
 #[derive(Debug, Clone)]
 pub struct ExecReport {
-    /// The job's output, byte-identical to [`execute_job`]'s.
+    /// The job's output.
     pub output: JobOutput,
     /// The frozen journal of a portfolio winner (captured only for
     /// multi-start cold plans), for the daemon's warm-start registry.
@@ -294,8 +326,41 @@ pub struct ExecReport {
     pub warm_source: Option<&'static str>,
 }
 
-/// Runs one job to completion (or cancellation), mirroring
-/// `copack plan`'s non-package flow line for line.
+/// What the caller of [`execute_job_full`] resolves beyond the spec.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecOptions<'a> {
+    /// A resolved tuned class configuration, written over the spec's
+    /// schedule, weight and portfolio tunables
+    /// ([`JobSpec::anneal_configs`]). The daemon passes its profile's
+    /// config for the circuit's class when the spec asks for it;
+    /// `copack plan` passes its `--profile` config with the explicitly
+    /// given flags written over the matching fields.
+    pub tuned: Option<ClassConfig>,
+    /// A frozen journal to warm-start a replan from (see
+    /// [`JournalRecord`]); `None` parses the spec's `prev` text instead.
+    /// Either way the output is the same.
+    pub hint: Option<&'a JournalRecord>,
+    /// Worker threads for a multi-start portfolio (`0` = available
+    /// parallelism). `copack plan` passes `--threads`; the daemon passes
+    /// 1, because its worker threads are the pool's concurrency unit.
+    /// The portfolio's result is the same for every thread count.
+    pub threads: usize,
+}
+
+impl Default for ExecOptions<'_> {
+    /// No tuned configuration, no hint, a serial portfolio.
+    fn default() -> Self {
+        Self {
+            tuned: None,
+            hint: None,
+            threads: 1,
+        }
+    }
+}
+
+/// Runs one job to completion (or cancellation) with the plain
+/// defaults: no tuned configuration, no warm-start hint, a serial
+/// portfolio and no telemetry.
 ///
 /// # Errors
 ///
@@ -308,17 +373,23 @@ pub fn execute_job(
     quadrant: &Quadrant,
     cancel: &CancelToken,
 ) -> Result<JobOutput, ServeError> {
-    execute_job_full(spec, name, quadrant, cancel, None, None).map(|r| r.output)
+    execute_job_full(
+        spec,
+        name,
+        quadrant,
+        &ExecOptions::default(),
+        &mut NoopRecorder,
+        cancel,
+    )
+    .map(|r| r.output)
 }
 
-/// [`execute_job`] with the daemon-only extensions: an optional loaded
-/// tuning profile (applied when the spec asks for it) and an optional
-/// frozen-journal warm-start hint for the replan path.
-///
-/// The produced [`JobOutput`] is byte-identical to [`execute_job`]'s
-/// for the same spec — the extensions only change *how* the result is
-/// reached (tuned config, journal seed), never what a given cache key
-/// maps to.
+/// Runs one job: the congestion-driven assignment, then (with
+/// `spec.exchange`) the exchange anneal, single-start, as a portfolio or
+/// warm-started from `spec.prev`. This is the executor behind both the
+/// daemon's workers and the non-package `copack plan`. `recorder`
+/// receives the anneal's events plus one `RoutingEvaluated` event for
+/// the initial and one for the final assignment.
 ///
 /// # Errors
 ///
@@ -327,17 +398,16 @@ pub fn execute_job_full(
     spec: &JobSpec,
     name: &str,
     quadrant: &Quadrant,
+    options: &ExecOptions<'_>,
+    recorder: &mut dyn Recorder,
     cancel: &CancelToken,
-    profile: Option<&TuneProfile>,
-    hint: Option<&JournalRecord>,
 ) -> Result<ExecReport, ServeError> {
     let job_failed =
         |e: &dyn std::fmt::Display| ServeError::new(ErrorKind::JobFailed, e.to_string());
 
     let mut assignment = assign(quadrant, spec.method).map_err(|e| job_failed(&e))?;
     let mut report = String::new();
-    let routing =
-        analyze(quadrant, &assignment, DensityModel::Geometric).map_err(|e| job_failed(&e))?;
+    let routing = route(quadrant, &assignment, recorder)?;
     let _ = writeln!(report, "{name}: {} -> {routing}", spec.method);
     let mut frozen = None;
     let mut warm_source = None;
@@ -349,41 +419,8 @@ pub fn execute_job_full(
                 "the job was cancelled before the exchange pass started",
             ));
         }
-        let stack = if spec.psi <= 1 {
-            StackConfig::planar()
-        } else {
-            StackConfig::stacked(spec.psi).map_err(|e| job_failed(&e))?
-        };
-        let mut config = ExchangeConfig {
-            seed: spec.exchange_seed,
-            ..ExchangeConfig::default()
-        };
-        config.weights.margin = f64::from_bits(spec.margin_bits);
-        // Worker threads are the pool's concurrency unit, so the
-        // portfolio (when widened below) anneals its starts serially
-        // inside this worker (`threads: 1`) instead of oversubscribing
-        // the host; the reduction is thread-count-invariant, so the
-        // result is identical either way.
-        let mut portfolio = PortfolioConfig {
-            starts: spec.starts,
-            prune_margin: f64::from_bits(spec.prune_margin_bits),
-            threads: 1,
-            mode: spec.mode,
-            kick_size: spec.kick_size,
-            ladder_ratio: f64::from_bits(spec.ladder_ratio_bits),
-            ..PortfolioConfig::default()
-        };
-        if spec.profile {
-            if let Some(p) = profile {
-                // The tuned class configuration replaces the spec's
-                // schedule/weight/portfolio tunables wholesale; the
-                // seed and stacking stay the spec's, and the worker
-                // keeps its single-threaded portfolio.
-                p.config_for(quadrant).apply(&mut config, &mut portfolio);
-                config.seed = spec.exchange_seed;
-                portfolio.threads = 1;
-            }
-        }
+        let stack = StackConfig::for_tiers(spec.psi).map_err(|e| job_failed(&e))?;
+        let (config, portfolio) = spec.anneal_configs(options.tuned.as_ref(), options.threads);
         let on_core_error = |e: CoreError| match e {
             CoreError::Cancelled => ServeError::new(
                 ErrorKind::Timeout,
@@ -401,37 +438,22 @@ pub fn execute_job_full(
             // produced `prev`, replaying it is equivalent to parsing
             // the plan text (the replay invariant) and skips the
             // parse-and-repair round trip.
-            if let Some(h) = hint {
+            let previous = if let Some(h) = options.hint {
                 warm_source = Some("journal");
-                let previous =
-                    replay_journal(&h.initial, &h.journal, h.best_len).map_err(on_core_error)?;
-                exchange_warm(
-                    quadrant,
-                    &previous,
-                    &stack,
-                    &config,
-                    &mut NoopRecorder,
-                    cancel,
-                )
-                .map_err(on_core_error)?
+                replay_journal(&h.initial, &h.journal, h.best_len).map_err(on_core_error)?
             } else {
                 warm_source = Some("plan");
-                let (_, previous) = parse_assignment(prev_text).map_err(|e| {
-                    ServeError::new(
-                        ErrorKind::BadRequest,
-                        format!("previous assignment does not parse: {e}"),
-                    )
-                })?;
-                exchange_warm(
-                    quadrant,
-                    &previous,
-                    &stack,
-                    &config,
-                    &mut NoopRecorder,
-                    cancel,
-                )
+                parse_assignment(prev_text)
+                    .map_err(|e| {
+                        ServeError::new(
+                            ErrorKind::BadRequest,
+                            format!("previous assignment does not parse: {e}"),
+                        )
+                    })?
+                    .1
+            };
+            exchange_warm(quadrant, &previous, &stack, &config, recorder, cancel)
                 .map_err(on_core_error)?
-            }
         } else if portfolio.starts > 1 {
             let won = exchange_portfolio_traced(
                 quadrant,
@@ -439,7 +461,7 @@ pub fn execute_job_full(
                 &stack,
                 &config,
                 &portfolio,
-                &mut NoopRecorder,
+                recorder,
                 cancel,
             )
             .map_err(on_core_error)?;
@@ -458,19 +480,11 @@ pub fn execute_job_full(
             });
             won.result
         } else {
-            exchange_traced(
-                quadrant,
-                &assignment,
-                &stack,
-                &config,
-                &mut NoopRecorder,
-                cancel,
-            )
-            .map_err(on_core_error)?
+            exchange_traced(quadrant, &assignment, &stack, &config, recorder, cancel)
+                .map_err(on_core_error)?
         };
         assignment = result.assignment;
-        let routing =
-            analyze(quadrant, &assignment, DensityModel::Geometric).map_err(|e| job_failed(&e))?;
+        let routing = route(quadrant, &assignment, recorder)?;
         let verb = if spec.prev.is_some() {
             "replan"
         } else {
@@ -495,10 +509,49 @@ pub fn execute_job_full(
     })
 }
 
+/// Routes `assignment` and records the result on `recorder`.
+fn route(
+    quadrant: &Quadrant,
+    assignment: &Assignment,
+    recorder: &mut dyn Recorder,
+) -> Result<RoutingReport, ServeError> {
+    let routing = analyze(quadrant, assignment, DensityModel::Geometric)
+        .map_err(|e| ServeError::new(ErrorKind::JobFailed, e.to_string()))?;
+    recorder.record(&Event::RoutingEvaluated {
+        max_density: routing.max_density,
+        total_wirelength: routing.total_wirelength,
+    });
+    Ok(routing)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use copack_io::{parse_quadrant, ClassConfig};
+    use copack_io::parse_quadrant;
+
+    /// [`execute_job_full`] with a fresh token, a serial portfolio and
+    /// no telemetry.
+    fn run_full(
+        spec: &JobSpec,
+        name: &str,
+        q: &Quadrant,
+        tuned: Option<&ClassConfig>,
+        hint: Option<&JournalRecord>,
+    ) -> Result<ExecReport, ServeError> {
+        let options = ExecOptions {
+            tuned: tuned.copied(),
+            hint,
+            threads: 1,
+        };
+        execute_job_full(
+            spec,
+            name,
+            q,
+            &options,
+            &mut NoopRecorder,
+            &CancelToken::new(),
+        )
+    }
 
     fn circuit() -> (String, Quadrant) {
         let text = "quadrant demo\nrow 10 2 4 7 0\nrow 1 3 5 8\nrow 11 6 9\n";
@@ -827,8 +880,8 @@ mod tests {
                 ..ClassConfig::default_config()
             },
         );
-        let run = execute_job_full(&spec, &name, &q, &CancelToken::new(), Some(&profile), None)
-            .expect("tuned plan");
+        let run =
+            run_full(&spec, &name, &q, Some(&profile.config_for(&q)), None).expect("tuned plan");
         assert!(
             run.output.report.contains("portfolio K=2"),
             "{}",
@@ -843,8 +896,8 @@ mod tests {
             space_fingerprint: 1,
             classes: Vec::new(),
         };
-        let fallback = execute_job_full(&spec, &name, &q, &CancelToken::new(), Some(&empty), None)
-            .expect("fallback plan");
+        let fallback =
+            run_full(&spec, &name, &q, Some(&empty.config_for(&q)), None).expect("fallback plan");
         let plain_spec = JobSpec {
             profile: false,
             starts: PortfolioConfig::default().starts,
@@ -864,30 +917,59 @@ mod tests {
             starts: 4,
             ..JobSpec::new("")
         };
-        let cold = execute_job_full(&cold_spec, &name, &q, &CancelToken::new(), None, None)
-            .expect("cold portfolio");
+        let cold = run_full(&cold_spec, &name, &q, None, None).expect("cold portfolio");
         let record = cold.frozen.expect("portfolio freezes its journal");
         assert!(cold.warm_source.is_none());
         let warm_spec = JobSpec {
             prev: Some(cold.output.assignment.clone()),
             ..cold_spec
         };
-        let parsed = execute_job_full(&warm_spec, &name, &q, &CancelToken::new(), None, None)
-            .expect("parse-path replan");
-        let seeded = execute_job_full(
-            &warm_spec,
-            &name,
-            &q,
-            &CancelToken::new(),
-            None,
-            Some(&record),
-        )
-        .expect("journal-path replan");
+        let parsed = run_full(&warm_spec, &name, &q, None, None).expect("parse-path replan");
+        let seeded =
+            run_full(&warm_spec, &name, &q, None, Some(&record)).expect("journal-path replan");
         assert_eq!(parsed.warm_source, Some("plan"));
         assert_eq!(seeded.warm_source, Some("journal"));
         // The journal seed is an implementation detail: the served
         // bytes are identical either way.
         assert_eq!(parsed.output, seeded.output);
+    }
+
+    #[test]
+    fn threads_and_telemetry_leave_the_output_unchanged() {
+        let text =
+            "quadrant demo\nrow 10 2 4 7 0\nrow 1 3 5 8\nrow 11 6 9\nnet 10 power\nnet 5 power\n";
+        let (name, q) = parse_quadrant(text).expect("valid circuit");
+        let spec = JobSpec {
+            exchange: true,
+            starts: 3,
+            ..JobSpec::new("")
+        };
+        let plain = execute_job(&spec, &name, &q, &CancelToken::new()).expect("plain plan");
+        let mut trace = copack_obs::TraceBuffer::new();
+        let options = ExecOptions {
+            threads: 0,
+            ..ExecOptions::default()
+        };
+        let traced = execute_job_full(&spec, &name, &q, &options, &mut trace, &CancelToken::new())
+            .expect("traced plan");
+        assert_eq!(traced.output, plain);
+        // One routing evaluation before and one after the exchange, and
+        // the anneal's own events in between.
+        let events = trace.into_events();
+        let routed = events
+            .iter()
+            .filter(|e| matches!(e, Event::RoutingEvaluated { .. }))
+            .count();
+        assert_eq!(routed, 2);
+        assert!(matches!(
+            events.first(),
+            Some(Event::RoutingEvaluated { .. })
+        ));
+        assert!(matches!(
+            events.last(),
+            Some(Event::RoutingEvaluated { .. })
+        ));
+        assert!(events.len() > 2);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //!   malformed frame must become a typed protocol error, never a
 //!   half-parsed request.
 
-use std::fmt::Write as _;
-
 /// Maximum container nesting the reader accepts; the protocol never
 /// nests more than two levels, so this only bounds hostile input.
 const MAX_DEPTH: usize = 32;
@@ -318,26 +316,6 @@ fn eat_digits(bytes: &[u8], pos: &mut usize) -> usize {
     *pos - start
 }
 
-/// Appends `s` JSON-escaped (with surrounding quotes) to `out`; matches
-/// the escaping `copack-obs` uses for trace lines.
-pub fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,6 +369,7 @@ mod tests {
 
     #[test]
     fn escapes_round_trip_through_the_writer() {
+        use copack_obs::write_json_str;
         let original = "a\"b\\c\nd\te\u{1}f µ 💡";
         let mut encoded = String::new();
         write_json_str(&mut encoded, original);

@@ -28,8 +28,11 @@
 //!
 //! Determinism is preserved across the service boundary: a plan served
 //! by the daemon is byte-identical to `copack plan` run locally on the
-//! same inputs, because both sides share one executor ([`execute_job`])
-//! and the annealer's RNG stream is untouched by cancellation polling.
+//! same inputs, because both sides run one executor
+//! ([`execute_job_full`]) and the annealer's RNG stream is untouched by
+//! cancellation polling. What `plan` prints beyond the served report is
+//! CLI-only: the `tuned profile applied` line under `--profile`, the
+//! `wrote …` lines of `--out` and `--svg`, and the telemetry block.
 //!
 //! ```no_run
 //! use copack_serve::{Client, JobSpec, ServeConfig, Server};
@@ -65,8 +68,8 @@ pub use cache::{CacheConfig, CacheStats, Lookup, ResultCache, Waiter};
 pub use client::{BatchOutcome, Client};
 pub use error::{ErrorKind, ServeError};
 pub use job::{
-    cache_key, cache_key_with, execute_job, execute_job_full, ExecReport, JobClass, JobOutput,
-    JobSpec, JournalRecord,
+    cache_key, cache_key_with, execute_job, execute_job_full, ExecOptions, ExecReport, JobClass,
+    JobOutput, JobSpec, JournalRecord,
 };
 pub use metrics::{pool_metrics_text, PoolMetrics};
 pub use protocol::{

@@ -17,12 +17,13 @@
 //! deterministic without forcing the server to buffer.
 
 use copack_core::{AssignMethod, PortfolioMode};
+use copack_obs::write_json_str;
 use std::fmt::Write as _;
 use std::io::Read;
 
 use crate::error::{ErrorKind, ServeError};
 use crate::job::{JobClass, JobSpec};
-use crate::json::{write_json_str, Json};
+use crate::json::Json;
 
 /// Hard cap on one frame's size in bytes (1 MiB). The largest Table 1
 /// circuit serializes to well under 64 KiB, so this bounds hostile or

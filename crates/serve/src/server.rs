@@ -34,7 +34,7 @@
 use copack_core::CancelToken;
 use copack_geom::Quadrant;
 use copack_io::{canonical_quadrant_text, fnv1a64, parse_quadrant, TuneProfile};
-use copack_obs::{Event, Recorder as _, TraceBuffer};
+use copack_obs::{Event, NoopRecorder, Recorder as _, TraceBuffer};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -44,7 +44,9 @@ use std::time::{Duration, Instant};
 
 use crate::cache::{CacheConfig, CacheStats, Lookup, ResultCache};
 use crate::error::{ErrorKind, ServeError};
-use crate::job::{cache_key_with, execute_job_full, JobClass, JobOutput, JobSpec, JournalRecord};
+use crate::job::{
+    cache_key_with, execute_job_full, ExecOptions, JobClass, JobOutput, JobSpec, JournalRecord,
+};
 use crate::protocol::{Response, StatusSnapshot};
 use crate::reactor::{CompletionQueue, Reactor};
 
@@ -482,13 +484,22 @@ impl Inner {
                     .expect("journal registry poisoned")
                     .lookup(journal_key(&job.quadrant, prev))
             });
+            let options = ExecOptions {
+                tuned: self
+                    .profile
+                    .as_ref()
+                    .filter(|_| job.spec.profile)
+                    .map(|p| p.config_for(&job.quadrant)),
+                hint: hint.as_ref(),
+                threads: 1,
+            };
             let result = execute_job_full(
                 &job.spec,
                 &job.name,
                 &job.quadrant,
+                &options,
+                &mut NoopRecorder,
                 &cancel,
-                self.profile.as_ref(),
-                hint.as_ref(),
             )
             .map(|run| {
                 if let Some(source) = run.warm_source {

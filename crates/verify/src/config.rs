@@ -57,11 +57,7 @@ impl VerifyConfig {
     ///
     /// Propagates [`GeomError::InvalidStack`] for ψ = 0 or ψ > 64.
     pub fn stack(&self) -> Result<StackConfig, GeomError> {
-        if self.tiers <= 1 {
-            Ok(StackConfig::planar())
-        } else {
-            StackConfig::stacked(self.tiers)
-        }
+        StackConfig::for_tiers(self.tiers)
     }
 }
 

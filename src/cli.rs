@@ -29,21 +29,21 @@ use std::io::BufWriter;
 use std::path::Path;
 
 use copack_core::{
-    apply_delta, assign, exchange_portfolio_traced, exchange_traced, exchange_warm, plan_package,
-    plan_package_traced, AssignMethod, CancelToken, Codesign, CostWeights, ExchangeConfig,
-    PortfolioConfig, PortfolioMode,
+    apply_delta, exchange_warm, plan_package, plan_package_traced, AssignMethod, CancelToken,
+    Codesign, PortfolioMode,
 };
 use copack_gen::circuit;
 use copack_geom::{Package, StackConfig};
 use copack_io::{
     classify_quadrant, parse_assignment, parse_delta, parse_quadrant, parse_tune, write_assignment,
-    write_quadrant, write_tune, TuneProfile,
+    write_quadrant, write_tune, ClassConfig, TuneProfile,
 };
 use copack_obs::{Event, JsonlSink, NoopRecorder, Recorder, TraceBuffer, TraceSummary};
 use copack_power::GridSpec;
 use copack_route::{analyze, balanced_density_map, DensityModel};
 use copack_serve::{
-    pool_metrics_text, Client, JobClass, JobSpec, PlanResponse, ServeConfig, Server,
+    execute_job_full, pool_metrics_text, Client, ExecOptions, JobClass, JobSpec, PlanResponse,
+    ServeConfig, Server,
 };
 use copack_tune::{tune, TrialSpace, TuneOptions};
 use copack_viz::{density_histogram, routing_ascii, routing_svg, trace_sparklines};
@@ -62,7 +62,7 @@ USAGE:
       byte-identical for a fixed --size/--seed on every platform.
 
   copack plan <circuit-file> [--method dfa|ifa|random] [--seed N]
-              [--slack N] [--exchange] [--psi N] [--starts K]
+              [--slack N] [--exchange] [--psi N] [--xseed N] [--starts K]
               [--prune-margin F] [--portfolio-mode race|coop|temper]
               [--kick-size N] [--ladder-ratio F] [--margin-weight F]
               [--profile FILE] [--out FILE] [--svg FILE] [--package]
@@ -86,13 +86,17 @@ USAGE:
       uniform package and report the package-level IR-drop and cut-line
       congestion; --threads caps the worker threads (0 = available
       parallelism, 1 = serial; the result is identical for every thread
-      count). --margin-weight adds the weighted net-separation margin
-      term to the exchange cost (0, the default, leaves it off).
+      count). --package runs each side's exchange at the defaults, so it
+      rejects --xseed, --starts, --prune-margin, --portfolio-mode,
+      --kick-size, --ladder-ratio and --margin-weight. --margin-weight
+      adds the weighted net-separation margin term to the exchange cost
+      (0, the default, leaves it off).
       --profile loads a `copack tune` profile and plans the exchange
       under the tuned configuration for the circuit's instance class
-      (unknown classes fall back to the defaults); explicitly-given
-      flags (--starts, --prune-margin, --margin-weight, --xseed) still
-      win over the profile.
+      (unknown classes fall back to the defaults); explicitly given
+      --starts, --prune-margin, --portfolio-mode, --kick-size,
+      --ladder-ratio and --margin-weight still win over the profile. A
+      profile never sets the exchange seed, so --xseed always applies.
 
   copack replan <circuit-file> --prev ASSIGNMENT --delta EDITS
                 [--psi N] [--xseed N] [--margin-weight F]
@@ -196,8 +200,12 @@ USAGE:
       one quadrant); --margin-weight sets the net-separation margin
       term. Both join the cache key only when they can change the
       result. --use-profile plans under the daemon's loaded tuning
-      profile (see serve --profile). --out writes the assignment file
-      (byte-identical to `copack plan --out`).
+      profile (see serve --profile), which then sets the portfolio and
+      margin knobs: --starts, --prune-margin, --portfolio-mode,
+      --kick-size, --ladder-ratio and --margin-weight are rejected with
+      it. A served report omits plan's `tuned profile applied` line.
+      --out writes the assignment file (byte-identical to `copack plan
+      --out`).
 
   copack batch <dir> [--addr HOST:PORT] [--class interactive|bulk]
                [--stream] [planning flags as submit]
@@ -212,11 +220,14 @@ USAGE:
   copack shutdown [--addr HOST:PORT]
       Ask the daemon to drain its queue and stop.
 
-  Telemetry (plan, ir, check, fuzz, serve): --trace FILE streams the
-  run's events as JSON lines; --metrics appends a summary block (for
-  serve: queue depth, cache hit rate, p50/p99 latency; for portfolio
-  plans: one cost sparkline per start, pruned starts flagged). Neither
-  flag changes the computed result.
+  Telemetry (plan, replan, ir, check, fuzz, serve): --trace FILE
+  streams the run's events as JSON lines; --metrics appends a summary
+  block (for serve: queue depth, cache hit rate, p50/p99 latency; for
+  portfolio plans: one cost sparkline per start, pruned starts
+  flagged). Neither flag changes the computed result.
+
+  Each command takes only the flags listed for it; any other flag is an
+  error. --psi must be at least 1.
 ";
 
 /// Where the daemon listens (and clients connect) unless `--addr` says
@@ -255,62 +266,94 @@ struct Options {
     flags: Vec<(String, Option<String>)>,
 }
 
-/// Flags that take a value; everything else `--x` is boolean.
-const VALUED: [&str; 35] = [
-    "--portfolio-mode",
-    "--kick-size",
-    "--ladder-ratio",
-    "--prev",
-    "--profile",
-    "--rounds",
-    "--delta",
-    "--margin-weight",
-    "--family",
-    "--size",
-    "--starts",
-    "--prune-margin",
-    "--out",
-    "--svg",
-    "--method",
-    "--seed",
-    "--slack",
-    "--psi",
-    "--grid",
-    "--threads",
-    "--trace",
-    "--budget-secs",
-    "--cases",
-    "--corpus",
-    "--addr",
-    "--workers",
-    "--queue",
-    "--timeout-secs",
-    "--port-file",
-    "--xseed",
-    "--timeout-ms",
-    "--cache-dir",
-    "--cache-mem-limit",
-    "--worker-stall-ms",
-    "--class",
+/// The planning flags `plan`, `submit` and `batch` share, all read by
+/// [`planning_spec`]. In these flag lists a trailing `=` marks a flag
+/// that takes a value.
+const PLANNING: &str = "method= seed= slack= exchange psi= xseed= starts= prune-margin= \
+                        portfolio-mode= kick-size= ladder-ratio= margin-weight=";
+
+/// The telemetry flags of `plan`, `replan`, `ir`, `check`, `fuzz` and
+/// `serve`.
+const TELEMETRY: &str = "trace= metrics";
+
+/// The daemon-job flags `submit` and `batch` add to [`PLANNING`].
+const DAEMON_JOB: &str = "addr= prev= use-profile timeout-ms= class=";
+
+/// The planning flags a tuned profile also sets. Under `plan --profile`
+/// an explicitly given one wins ([`with_explicit_flags`]); `submit
+/// --use-profile` rejects them, because the daemon's profile would
+/// override them.
+const PROFILE_KNOBS: &str =
+    "starts prune-margin portfolio-mode kick-size ladder-ratio margin-weight";
+
+/// The flags each command accepts. `--worker-stall-ms` is an
+/// undocumented test hook that slows every daemon worker down.
+const COMMAND_FLAGS: [(&str, &[&str]); 12] = [
+    ("gen", &["family= size= seed= out="]),
+    (
+        "plan",
+        &[PLANNING, TELEMETRY, "profile= out= svg= package threads="],
+    ),
+    (
+        "replan",
+        &[
+            TELEMETRY,
+            "prev= delta= psi= xseed= margin-weight= profile= out=",
+        ],
+    ),
+    ("route", &["svg="]),
+    ("ir", &[TELEMETRY, "grid="]),
+    ("check", &[TELEMETRY, "psi="]),
+    ("fuzz", &[TELEMETRY, "budget-secs= cases= seed= corpus="]),
+    ("tune", &["quick rounds= seed= threads= psi= out="]),
+    (
+        "serve",
+        &[
+            TELEMETRY,
+            "addr= workers= queue= timeout-secs= cache-dir= cache-mem-limit= profile= port-file= \
+             worker-stall-ms=",
+        ],
+    ),
+    ("submit", &[PLANNING, DAEMON_JOB, "out="]),
+    ("batch", &[PLANNING, DAEMON_JOB, "stream"]),
+    ("shutdown", &["addr="]),
 ];
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Parses `args` against the flags `command` accepts ([`COMMAND_FLAGS`]).
+/// Any other `--flag` is an error, so a misspelt or inapplicable flag can
+/// never be silently ignored.
+fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
+    let accepted = COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .map_or(&[][..], |(_, groups)| *groups);
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if let Some(flag) = arg.strip_prefix("--") {
-            if VALUED.contains(&arg.as_str()) {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{flag} needs a value"))?;
-                flags.push((flag.to_owned(), Some(value.clone())));
-            } else {
-                flags.push((flag.to_owned(), None));
-            }
-        } else {
+        let Some(flag) = arg.strip_prefix("--") else {
             positional.push(arg.clone());
-        }
+            continue;
+        };
+        let valued = accepted
+            .iter()
+            .flat_map(|group| group.split_whitespace())
+            .find_map(|spec| match spec.strip_suffix('=') {
+                Some(name) => (name == flag).then_some(true),
+                None => (spec == flag).then_some(false),
+            })
+            .ok_or_else(|| {
+                format!("unknown flag --{flag} for `copack {command}` (see `copack --help`)")
+            })?;
+        let value = if valued {
+            let value = it
+                .next()
+                .ok_or_else(|| format!("flag --{flag} needs a value"))?;
+            Some(value.clone())
+        } else {
+            None
+        };
+        flags.push((flag.to_owned(), value));
     }
     Ok(Options { positional, flags })
 }
@@ -324,13 +367,25 @@ impl Options {
         self.flag(name).and_then(|v| v.as_deref())
     }
 
+    /// The first of the space-separated `names` that was given, if any.
+    fn given<'n>(&self, names: &'n str) -> Option<&'n str> {
+        names
+            .split_whitespace()
+            .find(|name| self.flag(name).is_some())
+    }
+
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got `{v}`")),
-        }
+        Ok(self.maybe_num(name)?.unwrap_or(default))
+    }
+
+    /// `--name`'s value as a number, or `None` when the flag is absent.
+    fn maybe_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name} expects a number, got `{v}`"))
+            })
+            .transpose()
     }
 }
 
@@ -406,31 +461,6 @@ fn load_assignment(path: &str) -> Result<copack_geom::Assignment, String> {
         .1)
 }
 
-/// Parses `--margin-weight`, the weight of the net-separation margin
-/// term in the exchange cost. Zero — the default — leaves the term off,
-/// so every pre-existing invocation is unchanged.
-fn margin_weight(opts: &Options) -> Result<f64, String> {
-    let weight: f64 = opts.num("margin-weight", 0.0)?;
-    if weight.is_nan() || weight < 0.0 {
-        return Err("--margin-weight expects a non-negative number".to_owned());
-    }
-    Ok(weight)
-}
-
-/// Builds the exchange configuration shared by `plan` and `replan`:
-/// defaults plus the `--xseed` seed and `--margin-weight` cost term.
-fn exchange_config(opts: &Options) -> Result<ExchangeConfig, String> {
-    let weights = CostWeights {
-        margin: margin_weight(opts)?,
-        ..CostWeights::default()
-    };
-    Ok(ExchangeConfig {
-        seed: opts.num("xseed", ExchangeConfig::default().seed)?,
-        weights,
-        ..ExchangeConfig::default()
-    })
-}
-
 /// Loads `--profile` (a `copack tune` output file), or `None` when the
 /// flag is absent. Parse failures — truncation, checksum mismatch,
 /// version skew — surface as typed errors with the file name attached.
@@ -453,7 +483,7 @@ fn maybe_write(path: Option<&str>, content: &str, out: &mut String) -> Result<()
 }
 
 fn cmd_gen(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("gen", args)?;
     let (name, q) = match opts.value("family").unwrap_or("table1") {
         "table1" => {
             let [index] = opts.positional.as_slice() else {
@@ -500,36 +530,30 @@ fn cmd_gen(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_plan(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("plan", args)?;
     let [path] = opts.positional.as_slice() else {
         return Err(format!("plan expects one circuit file\n\n{USAGE}"));
     };
     let (name, quadrant) = load_quadrant(path)?;
+    let package = opts.flag("package").is_some();
+    if package {
+        // A package plan runs its own per-side exchange at the defaults.
+        if let Some(flag) = opts.given(PROFILE_KNOBS).or(opts.given("xseed")) {
+            return Err(format!("--{flag} does not apply to `plan --package`"));
+        }
+    }
+    let spec = planning_spec(&opts)?;
+    let threads = opts.num("threads", 0usize)?;
     let mut telemetry = Telemetry::from_options(&opts)?;
-
-    let seed = opts.num("seed", 42u64)?;
-    let slack = opts.num("slack", 1u32)?;
-    let method = match opts.value("method").unwrap_or("dfa") {
-        "dfa" => AssignMethod::Dfa { slack },
-        "ifa" => AssignMethod::Ifa,
-        "random" => AssignMethod::Random { seed },
-        other => return Err(format!("unknown method `{other}` (dfa|ifa|random)")),
-    };
     let profile = load_profile(&opts)?;
-    if profile.is_some() && (opts.flag("exchange").is_none() || opts.flag("package").is_some()) {
+    if profile.is_some() && (!spec.exchange || package) {
         return Err("--profile tunes the exchange pass: it requires --exchange and does not apply to --package".to_owned());
     }
 
-    if opts.flag("package").is_some() {
-        let psi = opts.num("psi", 1u8)?;
-        let stack = if psi <= 1 {
-            StackConfig::planar()
-        } else {
-            StackConfig::stacked(psi).map_err(|e| e.to_string())?
-        };
-        let threads = opts.num("threads", 0usize)?;
+    if package {
+        let stack = StackConfig::for_tiers(spec.psi).map_err(|e| e.to_string())?;
         let config = Codesign {
-            method,
+            method: spec.method,
             stack,
             threads,
             ..Codesign::default()
@@ -541,7 +565,7 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
         }
         .map_err(|e| e.to_string())?;
         let mut out = String::new();
-        let _ = writeln!(out, "{name}: package plan ({method})");
+        let _ = writeln!(out, "{name}: package plan ({})", spec.method);
         for (i, r) in report.routing.iter().enumerate() {
             let _ = writeln!(out, "  side {i}: {r}");
         }
@@ -567,126 +591,40 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
         return Ok(out);
     }
 
-    let mut assignment = assign(&quadrant, method).map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    let report =
-        analyze(&quadrant, &assignment, DensityModel::Geometric).map_err(|e| e.to_string())?;
-    if let Some(t) = telemetry.as_mut() {
-        t.buffer.record(&Event::RoutingEvaluated {
-            max_density: report.max_density,
-            total_wirelength: report.total_wirelength,
-        });
-    }
-    let _ = writeln!(out, "{name}: {method} -> {report}");
-
-    if opts.flag("exchange").is_some() {
-        let psi = opts.num("psi", 1u8)?;
-        let stack = if psi <= 1 {
-            StackConfig::planar()
-        } else {
-            StackConfig::stacked(psi).map_err(|e| e.to_string())?
-        };
-        let starts = opts.num("starts", 1u32)?;
-        if starts == 0 {
-            return Err("--starts expects at least 1 start".to_owned());
-        }
-        let mut xconfig = exchange_config(&opts)?;
-        let (mode, kick_size, ladder_ratio) = portfolio_mode_options(&opts)?;
-        let mut portfolio = PortfolioConfig {
-            starts,
-            prune_margin: opts.num("prune-margin", PortfolioConfig::default().prune_margin)?,
-            threads: opts.num("threads", 0usize)?,
-            mode,
-            kick_size,
-            ladder_ratio,
-            ..PortfolioConfig::default()
-        };
-        if let Some(p) = &profile {
-            // The tuned class config replaces schedule, weights, and
-            // portfolio shape; the seed and worker threads stay the
-            // flags' (`apply` never touches them), and explicitly-given
-            // flags still win over the profile.
-            p.config_for(&quadrant).apply(&mut xconfig, &mut portfolio);
-            if opts.value("starts").is_some() {
-                portfolio.starts = starts;
-            }
-            if opts.value("prune-margin").is_some() {
-                portfolio.prune_margin =
-                    opts.num("prune-margin", PortfolioConfig::default().prune_margin)?;
-            }
-            if opts.value("portfolio-mode").is_some() {
-                portfolio.mode = mode;
-            }
-            if opts.value("kick-size").is_some() {
-                portfolio.kick_size = kick_size;
-            }
-            if opts.value("ladder-ratio").is_some() {
-                portfolio.ladder_ratio = ladder_ratio;
-            }
-            if opts.value("margin-weight").is_some() {
-                xconfig.weights.margin = margin_weight(&opts)?;
-            }
-            let _ = writeln!(
-                out,
-                "{name}: tuned profile applied (class {})",
-                classify_quadrant(&quadrant)
-            );
-        }
-        let starts = portfolio.starts;
-        let mut noop = NoopRecorder;
-        let recorder: &mut dyn Recorder = match telemetry.as_mut() {
-            Some(t) => &mut t.buffer,
-            None => &mut noop,
-        };
-        let cancel = CancelToken::new();
-        let result = if starts > 1 {
-            let won = exchange_portfolio_traced(
-                &quadrant,
-                &assignment,
-                &stack,
-                &xconfig,
-                &portfolio,
-                recorder,
-                &cancel,
-            )
-            .map_err(|e| e.to_string())?;
-            // Same line the daemon's executor prints, so served reports
-            // stay byte-identical to local ones.
-            let _ = writeln!(
-                out,
-                "{name}: portfolio K={starts} winner start {} seed {} pruned {}",
-                won.winner_start,
-                won.winner_seed,
-                won.pruned()
-            );
-            won.result
-        } else {
-            exchange_traced(&quadrant, &assignment, &stack, &xconfig, recorder, &cancel)
-                .map_err(|e| e.to_string())?
-        };
-        assignment = result.assignment;
-        let report =
-            analyze(&quadrant, &assignment, DensityModel::Geometric).map_err(|e| e.to_string())?;
-        if let Some(t) = telemetry.as_mut() {
-            t.buffer.record(&Event::RoutingEvaluated {
-                max_density: report.max_density,
-                total_wirelength: report.total_wirelength,
-            });
-        }
-        let _ = writeln!(
-            out,
-            "{name}: after exchange (cost {:.4} -> {:.4}) -> {report}",
-            result.stats.initial_cost, result.stats.final_cost
+    let options = ExecOptions {
+        tuned: profile.map(|p| with_explicit_flags(&opts, &spec, p.config_for(&quadrant))),
+        hint: None,
+        threads,
+    };
+    let mut noop = NoopRecorder;
+    let recorder: &mut dyn Recorder = match telemetry.as_mut() {
+        Some(t) => &mut t.buffer,
+        None => &mut noop,
+    };
+    let output = execute_job_full(
+        &spec,
+        &name,
+        &quadrant,
+        &options,
+        recorder,
+        &CancelToken::new(),
+    )
+    .map_err(|e| e.message)?
+    .output;
+    let mut out = output.report;
+    if options.tuned.is_some() {
+        // The one CLI-only report line, right after the initial-assignment
+        // line.
+        let at = out.find('\n').map_or(out.len(), |i| i + 1);
+        let line = format!(
+            "{name}: tuned profile applied (class {})\n",
+            classify_quadrant(&quadrant)
         );
+        out.insert_str(at, &line);
     }
-
-    let _ = writeln!(out, "order: {assignment}");
-    maybe_write(
-        opts.value("out"),
-        &write_assignment(&name, &assignment),
-        &mut out,
-    )?;
+    maybe_write(opts.value("out"), &output.assignment, &mut out)?;
     if let Some(svg_path) = opts.value("svg") {
+        let (_, assignment) = parse_assignment(&output.assignment).map_err(|e| e.to_string())?;
         let svg = routing_svg(&quadrant, &assignment).map_err(|e| e.to_string())?;
         maybe_write(Some(svg_path), &svg, &mut out)?;
     }
@@ -697,10 +635,11 @@ fn cmd_plan(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_replan(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("replan", args)?;
     let [path] = opts.positional.as_slice() else {
         return Err(format!("replan expects one circuit file\n\n{USAGE}"));
     };
+    let spec = planning_spec(&opts)?;
     let prev_path = opts
         .value("prev")
         .ok_or_else(|| format!("replan needs --prev ASSIGNMENT-FILE\n\n{USAGE}"))?;
@@ -757,27 +696,18 @@ fn cmd_replan(args: &[String]) -> Result<String, String> {
         .get(&name)
         .expect("a dirty instance lists this quadrant");
     let edited = apply_delta(&base, quadrant_delta).map_err(|e| format!("{delta_path}: {e}"))?;
-    let psi = opts.num("psi", 1u8)?;
-    let stack = if psi <= 1 {
-        StackConfig::planar()
-    } else {
-        StackConfig::stacked(psi).map_err(|e| e.to_string())?
-    };
-    let mut config = exchange_config(&opts)?;
-    if let Some(p) = &profile {
-        // The warm path is single-start, so only the tuned schedule and
-        // weights matter; explicit flags still win, as in plan.
-        let mut portfolio = PortfolioConfig::default();
-        p.config_for(&edited).apply(&mut config, &mut portfolio);
-        if opts.value("margin-weight").is_some() {
-            config.weights.margin = margin_weight(&opts)?;
-        }
+    let stack = StackConfig::for_tiers(spec.psi).map_err(|e| e.to_string())?;
+    // The warm path is single-start, so only the tuned schedule and
+    // weights matter; explicit flags still win, as in plan.
+    let tuned = profile.map(|p| with_explicit_flags(&opts, &spec, p.config_for(&edited)));
+    if tuned.is_some() {
         let _ = writeln!(
             out,
             "{name}: tuned profile applied (class {})",
             classify_quadrant(&edited)
         );
     }
+    let (config, _) = spec.anneal_configs(tuned.as_ref(), 1);
     if let Some(t) = telemetry.as_mut() {
         t.buffer.record(&Event::ReplanStart {
             quadrants: 1,
@@ -828,7 +758,7 @@ fn cmd_replan(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_route(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("route", args)?;
     let [circuit_path, assignment_path] = opts.positional.as_slice() else {
         return Err(format!(
             "route expects a circuit and an assignment\n\n{USAGE}"
@@ -866,7 +796,7 @@ fn cmd_route(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_ir(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("ir", args)?;
     let [circuit_path, assignment_path] = opts.positional.as_slice() else {
         return Err(format!("ir expects a circuit and an assignment\n\n{USAGE}"));
     };
@@ -897,12 +827,12 @@ fn cmd_ir(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("check", args)?;
     let [path] = opts.positional.as_slice() else {
         return Err(format!("check expects one circuit file\n\n{USAGE}"));
     };
     let (name, quadrant) = load_quadrant(path)?;
-    let psi = opts.num("psi", 1u8)?;
+    let psi = psi_option(&opts)?;
     let mut telemetry = Telemetry::from_options(&opts)?;
     let mut noop = NoopRecorder;
     let recorder: &mut dyn Recorder = match telemetry.as_mut() {
@@ -923,18 +853,12 @@ fn cmd_check(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_fuzz(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("fuzz", args)?;
     if !opts.positional.is_empty() {
         return Err(format!("fuzz takes only flags\n\n{USAGE}"));
     }
     let seed = opts.num("seed", 1u64)?;
-    let cases = match opts.value("cases") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("--cases expects a number, got `{v}`"))?,
-        ),
-        None => None,
-    };
+    let cases = opts.maybe_num("cases")?;
     // Without an explicit case count the run is wall-clock bounded;
     // 10 s of the quick profile covers a few hundred instances.
     let default_budget = if cases.is_none() { 10 } else { 0 };
@@ -1007,8 +931,8 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_tune(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
-    let psi = opts.num("psi", 1u8)?;
+    let opts = parse_options("tune", args)?;
+    let psi = psi_option(&opts)?;
     let mut instances: Vec<(String, copack_geom::Quadrant, StackConfig)> = Vec::new();
     if opts.positional.is_empty() {
         // The built-in tuning family: Table 1 plus stacked and deep-row
@@ -1020,11 +944,7 @@ fn cmd_tune(args: &[String]) -> Result<String, String> {
             instances.push((c.name.replace(' ', ""), quadrant, stack));
         }
     } else {
-        let stack = if psi <= 1 {
-            StackConfig::planar()
-        } else {
-            StackConfig::stacked(psi).map_err(|e| e.to_string())?
-        };
+        let stack = StackConfig::for_tiers(psi).map_err(|e| e.to_string())?;
         for path in &opts.positional {
             let (name, quadrant) = load_quadrant(path)?;
             instances.push((name, quadrant, stack));
@@ -1068,32 +988,25 @@ fn cmd_tune(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parses the cooperative-portfolio flags shared by `plan` and
-/// `submit`/`batch`: `--portfolio-mode` (default `race`), `--kick-size`
-/// (default 4, `coop` only) and `--ladder-ratio` (default 1.5, `temper`
-/// only). Validation mirrors [`PortfolioConfig::is_valid`] so a bad
-/// flag fails at the CLI boundary with a readable message instead of a
-/// core error.
-fn portfolio_mode_options(opts: &Options) -> Result<(PortfolioMode, u32, f64), String> {
-    let mode = match opts.value("portfolio-mode") {
-        None => PortfolioMode::Race,
-        Some(tag) => PortfolioMode::parse(tag)
-            .ok_or_else(|| format!("unknown portfolio mode `{tag}` (race|coop|temper)"))?,
-    };
-    let kick_size = opts.num("kick-size", PortfolioConfig::default().kick_size)?;
-    if kick_size == 0 {
-        return Err("--kick-size expects at least 1 swap".to_owned());
+/// Reads `--psi` (default 1, planar), rejecting ψ = 0 for every command
+/// that takes the flag. [`StackConfig::for_tiers`] turns it into a stack.
+fn psi_option(opts: &Options) -> Result<u8, String> {
+    let psi = opts.num("psi", 1u8)?;
+    if psi == 0 {
+        return Err("--psi expects at least 1 tier".to_owned());
     }
-    let ladder_ratio: f64 = opts.num("ladder-ratio", PortfolioConfig::default().ladder_ratio)?;
-    if !ladder_ratio.is_finite() || ladder_ratio < 1.0 {
-        return Err("--ladder-ratio expects a finite ratio >= 1.0".to_owned());
-    }
-    Ok((mode, kick_size, ladder_ratio))
+    Ok(psi)
 }
 
-/// Builds a daemon job spec from `submit`/`batch`'s planning flags (the
-/// same vocabulary as `copack plan`).
-fn job_spec_from_options(opts: &Options, circuit: String) -> Result<JobSpec, String> {
+/// Decodes the [`PLANNING`] flags into a spec (with no circuit): the one
+/// reader of those flags for `plan`, `replan`, `submit` and `batch`.
+/// Each flag is validated here, so a bad value fails at the CLI boundary
+/// with a readable message instead of a core error. `--portfolio-mode`
+/// defaults to `race`, `--kick-size` (`coop` only) to 4 and
+/// `--ladder-ratio` (`temper` only) to 1.5; `--margin-weight` 0, the
+/// default, leaves the net-separation margin term off.
+fn planning_spec(opts: &Options) -> Result<JobSpec, String> {
+    let defaults = JobSpec::new(String::new());
     let seed = opts.num("seed", 42u64)?;
     let slack = opts.num("slack", 1u32)?;
     let method = match opts.value("method").unwrap_or("dfa") {
@@ -1102,46 +1015,97 @@ fn job_spec_from_options(opts: &Options, circuit: String) -> Result<JobSpec, Str
         "random" => AssignMethod::Random { seed },
         other => return Err(format!("unknown method `{other}` (dfa|ifa|random)")),
     };
-    let psi = opts.num("psi", 1u8)?;
-    if psi == 0 {
-        return Err("--psi expects at least 1 tier".to_owned());
-    }
-    let timeout_ms = match opts.value("timeout-ms") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("--timeout-ms expects a number, got `{v}`"))?,
-        ),
-    };
-    let starts = opts.num("starts", 1u32)?;
+    let starts = opts.num("starts", defaults.starts)?;
     if starts == 0 {
         return Err("--starts expects at least 1 start".to_owned());
     }
-    let prune_margin: f64 = opts.num("prune-margin", PortfolioConfig::default().prune_margin)?;
+    let prune_margin: f64 = opts.num("prune-margin", f64::from_bits(defaults.prune_margin_bits))?;
     if prune_margin.is_nan() || prune_margin < 0.0 {
         return Err("--prune-margin expects a non-negative number".to_owned());
     }
-    let (mode, kick_size, ladder_ratio) = portfolio_mode_options(opts)?;
+    let mode = match opts.value("portfolio-mode") {
+        None => defaults.mode,
+        Some(tag) => PortfolioMode::parse(tag)
+            .ok_or_else(|| format!("unknown portfolio mode `{tag}` (race|coop|temper)"))?,
+    };
+    let kick_size = opts.num("kick-size", defaults.kick_size)?;
+    if kick_size == 0 {
+        return Err("--kick-size expects at least 1 swap".to_owned());
+    }
+    let ladder_ratio: f64 = opts.num("ladder-ratio", f64::from_bits(defaults.ladder_ratio_bits))?;
+    if !ladder_ratio.is_finite() || ladder_ratio < 1.0 {
+        return Err("--ladder-ratio expects a finite ratio >= 1.0".to_owned());
+    }
+    let margin: f64 = opts.num("margin-weight", 0.0)?;
+    if margin.is_nan() || margin < 0.0 {
+        return Err("--margin-weight expects a non-negative number".to_owned());
+    }
+    Ok(JobSpec {
+        method,
+        exchange: opts.flag("exchange").is_some(),
+        psi: psi_option(opts)?,
+        exchange_seed: opts.num("xseed", defaults.exchange_seed)?,
+        starts,
+        prune_margin_bits: prune_margin.to_bits(),
+        mode,
+        kick_size,
+        ladder_ratio_bits: ladder_ratio.to_bits(),
+        margin_bits: margin.to_bits(),
+        ..defaults
+    })
+}
+
+/// `tuned`, a profile's class config, with every explicitly given
+/// [`PROFILE_KNOBS`] flag written over its field: explicit flags win
+/// over the profile. `--xseed` needs no such rule, because a profile
+/// never sets the seed.
+fn with_explicit_flags(opts: &Options, spec: &JobSpec, mut tuned: ClassConfig) -> ClassConfig {
+    if opts.flag("starts").is_some() {
+        tuned.starts = spec.starts;
+    }
+    if opts.flag("prune-margin").is_some() {
+        tuned.prune_margin = f64::from_bits(spec.prune_margin_bits);
+    }
+    if opts.flag("portfolio-mode").is_some() {
+        tuned.mode = spec.mode;
+    }
+    if opts.flag("kick-size").is_some() {
+        tuned.kick_size = spec.kick_size;
+    }
+    if opts.flag("ladder-ratio").is_some() {
+        tuned.ladder_ratio = f64::from_bits(spec.ladder_ratio_bits);
+    }
+    if opts.flag("margin-weight").is_some() {
+        tuned.margin = f64::from_bits(spec.margin_bits);
+    }
+    tuned
+}
+
+/// Builds a daemon job spec from `submit`/`batch`'s flags: the planning
+/// flags as `copack plan` reads them, plus `--prev`, `--use-profile`,
+/// `--timeout-ms` and `--class`. Under `--use-profile` the daemon's
+/// profile sets the [`PROFILE_KNOBS`], so giving one is an error.
+fn job_spec_from_options(opts: &Options, circuit: String) -> Result<JobSpec, String> {
+    let profile = opts.flag("use-profile").is_some();
+    if profile {
+        if let Some(flag) = opts.given(PROFILE_KNOBS) {
+            return Err(format!(
+                "--{flag} does not apply with --use-profile: the daemon's profile sets it"
+            ));
+        }
+    }
+    let timeout_ms = opts.maybe_num("timeout-ms")?;
     let prev = match opts.value("prev") {
         None => None,
         Some(p) => Some(fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?),
     };
     Ok(JobSpec {
         circuit,
-        method,
-        exchange: opts.flag("exchange").is_some(),
-        psi,
-        exchange_seed: opts.num("xseed", ExchangeConfig::default().seed)?,
-        starts,
-        prune_margin_bits: prune_margin.to_bits(),
-        mode,
-        kick_size,
-        ladder_ratio_bits: ladder_ratio.to_bits(),
         prev,
-        margin_bits: margin_weight(opts)?.to_bits(),
-        profile: opts.flag("use-profile").is_some(),
+        profile,
         timeout_ms,
         class: job_class_from_options(opts)?,
+        ..planning_spec(opts)?
     })
 }
 
@@ -1162,7 +1126,7 @@ fn connect_daemon(opts: &Options) -> Result<(String, Client), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("serve", args)?;
     if !opts.positional.is_empty() {
         return Err(format!("serve takes only flags\n\n{USAGE}"));
     }
@@ -1232,7 +1196,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_submit(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("submit", args)?;
     let [path] = opts.positional.as_slice() else {
         return Err(format!("submit expects one circuit file\n\n{USAGE}"));
     };
@@ -1249,7 +1213,7 @@ fn cmd_submit(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("batch", args)?;
     let [dir] = opts.positional.as_slice() else {
         return Err(format!("batch expects one directory\n\n{USAGE}"));
     };
@@ -1352,7 +1316,7 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_shutdown(args: &[String]) -> Result<String, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("shutdown", args)?;
     if !opts.positional.is_empty() {
         return Err(format!("shutdown takes only flags\n\n{USAGE}"));
     }
@@ -2023,6 +1987,205 @@ mod tests {
         ]))
         .unwrap();
         assert_ne!(plain, weighted);
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_naming_the_flag_and_the_command() {
+        let dir = TestDir::new("unknown_flag");
+        let circuit = dir.path("c1.copack");
+        fs::write(&circuit, run(&s(&["gen", "1"])).unwrap()).unwrap();
+        let err = run(&s(&["plan", circuit.to_str().unwrap(), "--exchnage"])).unwrap_err();
+        assert!(err.contains("--exchnage"), "{err}");
+        assert!(err.contains("copack plan"), "{err}");
+        // A flag one command takes is still unknown to another.
+        let err = run(&s(&["route", circuit.to_str().unwrap(), "--threads", "2"])).unwrap_err();
+        assert!(
+            err.contains("unknown flag --threads for `copack route`"),
+            "{err}"
+        );
+        let err = run(&s(&["serve", "--exchange"])).unwrap_err();
+        assert!(
+            err.contains("unknown flag --exchange for `copack serve`"),
+            "{err}"
+        );
+    }
+
+    /// The flags named in `command`'s USAGE synopsis lines.
+    fn synopsis_flags(command: &str) -> std::collections::BTreeSet<String> {
+        let mut flags = std::collections::BTreeSet::new();
+        let mut in_synopsis = false;
+        for line in USAGE.lines() {
+            if line.starts_with(&format!("  copack {command} ")) {
+                in_synopsis = true;
+            } else if !line.trim_start().starts_with('[') {
+                in_synopsis = false;
+            }
+            if in_synopsis {
+                for word in line.split(|c: char| c.is_whitespace() || c == '[' || c == ']') {
+                    if let Some(flag) = word.strip_prefix("--") {
+                        flags.insert(flag.to_owned());
+                    }
+                }
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn every_command_accepts_exactly_the_flags_its_usage_lists() {
+        for (command, groups) in COMMAND_FLAGS {
+            let accepted: std::collections::BTreeSet<String> = groups
+                .iter()
+                .flat_map(|group| group.split_whitespace())
+                .map(|flag| flag.trim_end_matches('=').to_owned())
+                .filter(|flag| flag != "worker-stall-ms")
+                .collect();
+            let mut documented = synopsis_flags(command);
+            if command == "batch" {
+                // `[planning flags as submit]`
+                documented.extend(synopsis_flags("submit"));
+                documented.remove("out");
+            }
+            assert_eq!(accepted, documented, "copack {command}");
+        }
+    }
+
+    #[test]
+    fn package_plans_reject_the_quadrant_exchange_flags() {
+        let dir = TestDir::new("package_flags");
+        let circuit = dir.path("c1.copack");
+        fs::write(&circuit, run(&s(&["gen", "1"])).unwrap()).unwrap();
+        let path = circuit.to_str().unwrap();
+        for (flag, value) in [
+            ("--xseed", "9"),
+            ("--starts", "4"),
+            ("--prune-margin", "0.5"),
+            ("--portfolio-mode", "coop"),
+            ("--kick-size", "3"),
+            ("--ladder-ratio", "2"),
+            ("--margin-weight", "0.5"),
+        ] {
+            let err = run(&s(&["plan", path, "--package", flag, value])).unwrap_err();
+            assert!(
+                err.contains(&format!("{flag} does not apply to `plan --package`")),
+                "{flag}: {err}"
+            );
+            // The same flag is a quadrant plan's to take.
+            assert!(run(&s(&["plan", path, "--exchange", flag, value])).is_ok());
+        }
+        assert!(run(&s(&[
+            "plan",
+            path,
+            "--package",
+            "--psi",
+            "2",
+            "--threads",
+            "1"
+        ]))
+        .is_ok());
+    }
+
+    #[test]
+    fn use_profile_rejects_the_knobs_the_daemon_profile_sets() {
+        let dir = TestDir::new("use_profile_flags");
+        let circuit = dir.path("c.copack");
+        fs::write(&circuit, run(&s(&["gen", "1"])).unwrap()).unwrap();
+        for (flag, value) in [
+            ("--starts", "4"),
+            ("--prune-margin", "0.5"),
+            ("--portfolio-mode", "coop"),
+            ("--kick-size", "3"),
+            ("--ladder-ratio", "2"),
+            ("--margin-weight", "0.5"),
+        ] {
+            let expected = format!("{flag} does not apply with --use-profile");
+            // Rejected on the client side, before any connection.
+            let err = run(&s(&[
+                "submit",
+                circuit.to_str().unwrap(),
+                "--exchange",
+                "--use-profile",
+                flag,
+                value,
+            ]))
+            .unwrap_err();
+            assert!(err.contains(&expected), "submit {flag}: {err}");
+            let err = run(&s(&[
+                "batch",
+                dir.0.to_str().unwrap(),
+                "--exchange",
+                "--use-profile",
+                flag,
+                value,
+            ]))
+            .unwrap_err();
+            assert!(err.contains(&expected), "batch {flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn psi_zero_is_rejected_by_every_command_that_takes_it() {
+        let dir = TestDir::new("psi_zero");
+        let (circuit, prev, _) = plan_previous(&dir);
+        let edits = dir.path("noop.edits");
+        fs::write(
+            &edits,
+            copack_io::write_delta("circuit1", &copack_core::InstanceDelta::default()),
+        )
+        .unwrap();
+        let path = circuit.to_str().unwrap();
+        for args in [
+            vec!["plan", path],
+            vec!["plan", path, "--exchange"],
+            vec!["plan", path, "--package"],
+            vec![
+                "replan",
+                path,
+                "--prev",
+                prev.to_str().unwrap(),
+                "--delta",
+                edits.to_str().unwrap(),
+            ],
+            vec!["check", path],
+            vec!["tune", path, "--quick"],
+            vec!["submit", path, "--exchange"],
+        ] {
+            let mut args = s(&args);
+            args.extend(s(&["--psi", "0"]));
+            let err = run(&args).unwrap_err();
+            assert!(
+                err.contains("--psi expects at least 1 tier"),
+                "{args:?}: {err}"
+            );
+        }
+        // ψ = 1 is the planar default, byte for byte.
+        assert_eq!(
+            run(&s(&["plan", path, "--exchange", "--psi", "1"])).unwrap(),
+            run(&s(&["plan", path, "--exchange"])).unwrap()
+        );
+    }
+
+    #[test]
+    fn plan_rejects_a_negative_prune_margin_like_submit() {
+        let dir = TestDir::new("prune_margin");
+        let circuit = dir.path("c1.copack");
+        fs::write(&circuit, run(&s(&["gen", "1"])).unwrap()).unwrap();
+        for verb in ["plan", "submit"] {
+            let err = run(&s(&[
+                verb,
+                circuit.to_str().unwrap(),
+                "--exchange",
+                "--starts",
+                "4",
+                "--prune-margin",
+                "-1",
+            ]))
+            .unwrap_err();
+            assert!(
+                err.contains("--prune-margin expects a non-negative number"),
+                "{verb}: {err}"
+            );
+        }
     }
 
     #[test]

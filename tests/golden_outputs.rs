@@ -97,3 +97,71 @@ fn large_package_plan_is_bit_identical_to_the_golden() {
         golden("large1k-package.txt")
     );
 }
+
+/// Single-quadrant `copack plan` is pinned across its flag matrix: the
+/// methods, the exchange at ψ 1 and 4, a reseeded margin-weighted
+/// exchange, a 4-start portfolio in each mode, a `--metrics` run and a
+/// tuned profile with and without an explicit `--starts 1`, each on
+/// circuits 1 and 3, with stdout and the `--out` file of every run.
+/// Generated from a shell script that runs, in an empty directory,
+/// `copack gen 1 --out c1.circuit`, `copack gen 3 --out c3.circuit`,
+/// `copack tune c1.circuit c3.circuit --quick --threads 1 --out p.tune`,
+/// then for each circuit and each `RUNS` line prints the `$ copack plan`
+/// header below, the command's stdout, `--- plan.order` and the file;
+/// regenerate the same way if an intentional model change lands.
+#[test]
+fn quadrant_plan_matrix_is_bit_identical_to_the_golden() {
+    use std::process::Command;
+    const RUNS: [&str; 12] = [
+        "",
+        "--method ifa",
+        "--method random --seed 7",
+        "--exchange",
+        "--exchange --psi 4",
+        "--exchange --xseed 9 --margin-weight 0.5",
+        "--exchange --starts 4",
+        "--exchange --starts 4 --portfolio-mode coop --kick-size 3",
+        "--exchange --starts 4 --portfolio-mode temper --ladder-ratio 2",
+        "--exchange --starts 4 --metrics",
+        "--exchange --profile p.tune",
+        "--exchange --profile p.tune --starts 1",
+    ];
+    let dir = std::env::temp_dir().join(format!("copack_golden_matrix_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let copack = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_copack"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    copack(&["gen", "1", "--out", "c1.circuit"]);
+    copack(&["gen", "3", "--out", "c3.circuit"]);
+    copack(&[
+        "tune",
+        "c1.circuit",
+        "c3.circuit",
+        "--quick",
+        "--threads",
+        "1",
+        "--out",
+        "p.tune",
+    ]);
+    let mut out = String::new();
+    for circuit in ["c1.circuit", "c3.circuit"] {
+        for run in RUNS {
+            let mut args = vec!["plan", circuit];
+            args.extend(run.split_whitespace());
+            args.extend(["--out", "plan.order"]);
+            out.push_str(&format!("$ copack {}\n", args.join(" ")));
+            out.push_str(&copack(&args));
+            out.push_str("--- plan.order\n");
+            out.push_str(&fs::read_to_string(dir.join("plan.order")).unwrap());
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+    assert_eq!(out, golden("plan-matrix.txt"));
+}
